@@ -58,6 +58,14 @@ THIS codebase's contracts, not C++ in general:
                      table row needs a live annotation. A stale doc about
                      lock order is worse than none.
 
+  fixed-temp-path    Test code under tests/ must not join a literal file
+                     name to the temp directory (::testing::TempDir(),
+                     std::filesystem::temp_directory_path()): under
+                     `ctest -j` every test case is its own process, and two
+                     of them sharing one fixed path rewrite each other's
+                     files. Use test_support::unique_temp_path
+                     (tests/support/temp_path.h) instead.
+
 Waivers: append `// scd-lint: allow(<rule>)` to the offending line (or the
 line directly above it); `// scd-lint: allow-file(<rule>)` within the first
 30 lines of a file waives the rule for the whole file.
@@ -133,7 +141,7 @@ INCLUDE_CANON = [
 
 ALL_RULES = ("throw-not-assert", "kkeybits-binding", "metric-docs",
              "include-hygiene", "simd-isolation", "mutex-wrapper",
-             "mo-rationale", "lock-order-doc")
+             "mo-rationale", "lock-order-doc", "fixed-temp-path")
 
 # ---- mutex-wrapper ----
 # The raw synchronization vocabulary that bypasses the annotated wrappers.
@@ -201,6 +209,15 @@ LOCK_ORDER_DOC_PATH = "docs/CONCURRENCY.md"
 # Table rows: | `first` | `second` | `src/...` | rationale |
 LOCK_ORDER_DOC_ROW = re.compile(
     r"^\|\s*`(\w+)`\s*\|\s*`(\w+)`\s*\|\s*`([^`]+)`\s*\|")
+
+# ---- fixed-temp-path ----
+# A string literal joined to the temp directory with `/` or `+`, e.g.
+# `path(::testing::TempDir()) / "x"` or `temp_directory_path() / "x"`.
+# Matched on comment-stripped text, where literals keep their quotes.
+FIXED_TEMP_JOIN = re.compile(
+    r"\b(TempDir|temp_directory_path)\s*\(\s*\)\s*\)?\s*[/+]\s*\"")
+# The linter's own fixture trees seed violations on purpose.
+LINT_FIXTURES_DIR = "tests/tooling/fixtures/"
 
 # The only simd header non-simd code may include; everything else under
 # simd/ is an implementation detail of the dispatch.
@@ -633,6 +650,33 @@ def check_lock_order_doc(root: Path, src_files: list[Path]) -> list[Violation]:
 
 
 # --------------------------------------------------------------------------
+# fixed-temp-path
+# --------------------------------------------------------------------------
+
+def check_fixed_temp_path(root: Path, test_files: list[Path]) -> list[Violation]:
+    violations = []
+    for path in test_files:
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith(LINT_FIXTURES_DIR):
+            continue
+        raw = path.read_text()
+        lines = raw.splitlines()
+        if file_waived(lines, "fixed-temp-path"):
+            continue
+        text = strip_comments_and_strings(raw)
+        for m in FIXED_TEMP_JOIN.finditer(text):
+            lineno = line_of(text, m.start())
+            if waived(lines, lineno, "fixed-temp-path"):
+                continue
+            violations.append(Violation(
+                rel, lineno, "fixed-temp-path",
+                f"literal file name joined to {m.group(1)}(); concurrent "
+                "test processes would share it — use "
+                "test_support::unique_temp_path (tests/support/temp_path.h)"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -676,6 +720,7 @@ def main(argv: list[str]) -> int:
     violations += check_mutex_wrapper(root, src_files)
     violations += check_mo_rationale(root, src_files)
     violations += check_lock_order_doc(root, src_files)
+    violations += check_fixed_temp_path(root, collect(root, ["tests"]))
 
     for v in violations:
         print(v)

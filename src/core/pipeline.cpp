@@ -14,6 +14,7 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "core/interval_cutter.h"
 #include "detect/detection.h"
 #include "detect/provenance.h"
 #include "forecast/runner.h"
@@ -23,7 +24,6 @@
 #include "obs/pipeline_metrics.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
-#include "sketch/group_testing.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
 #include "sketch/serialize.h"
@@ -79,13 +79,6 @@ void PipelineConfig::validate() const {
           "PipelineConfig: sketch-recovery modes require key_sample_rate == "
           "1.0 (no keys are sampled)");
     }
-  }
-  if (recovery == RecoveryMode::kGroupTesting &&
-      !traffic::key_fits_32bit(key_kind)) {
-    throw std::invalid_argument(
-        "PipelineConfig: group-testing recovery covers 32-bit key kinds "
-        "only (the bit counters span 32 bits); use kInvertible for 64-bit "
-        "keys");
   }
 }
 
@@ -143,12 +136,6 @@ std::uint64_t config_fingerprint(const PipelineConfig& config) noexcept {
 }
 
 namespace {
-
-// One in every 2^kUpdateSampleShift add() calls is stopwatch-timed into the
-// sketch_update stage histogram. Timing every record would cost two clock
-// reads (~40 ns) against a ~30 ns UPDATE; sampling amortizes that to well
-// under 1 ns per record while the histogram still converges quickly.
-constexpr std::uint64_t kUpdateSampleMask = 63;
 
 // ---------------------------------------------------------------------------
 // Engine-state byte codec. The encoding is explicit little-endian so a
@@ -418,10 +405,16 @@ class EngineBase {
 
 /// The pipeline engine, generic over the sketch family. SketchT decides the
 /// key-identification strategy at compile time: a sketch exposing
-/// recover_heavy_keys() (MvSketch, GroupTestingSketch) runs the replay-free
-/// recovery sweep and keeps no key set at all; a plain k-ary sketch runs the
-/// paper's key replay. The runtime RecoveryMode -> SketchT mapping lives in
+/// recover_heavy_keys() (MvSketch) runs the replay-free recovery sweep and
+/// keeps no key set at all; a plain k-ary sketch runs the paper's key
+/// replay. The runtime RecoveryMode -> SketchT mapping lives in
 /// ChangeDetectionPipeline::Impl.
+///
+/// add() stages records and applies them to the observed sketch in blocks of
+/// kUpdateBlock through update_batch (bit-identical to per-record UPDATE:
+/// every register still sees its updates in record order). The staging
+/// buffer is drained before anything reads the observed sketch, i.e. at
+/// every interval close.
 template <typename SketchT>
 class Engine final : public EngineBase {
  public:
@@ -438,6 +431,10 @@ class Engine final : public EngineBase {
   static constexpr bool kHasVoteState =
       requires(const SketchT& s) { s.candidates(); };
 
+  /// Records staged per update_batch call: one hash-batched row sweep of
+  /// BasicKarySketch.
+  static constexpr std::size_t kUpdateBlock = sketch::KarySketch::kUpdateBlock;
+
   Engine(const PipelineConfig& config, Emit emit)
       : config_(config),
         emit_(std::move(emit)),
@@ -446,8 +443,9 @@ class Engine final : public EngineBase {
         active_model_(config.model),
         sample_rng_(config.seed ^ 0x5a5a5a5a5a5a5a5aULL),
         interval_rng_(config.seed ^ 0x1234abcd5678ef90ULL),
-        current_len_(config.interval_s) {
-    if (config_.randomize_intervals) current_len_ = draw_interval_length();
+        cutter_(config.randomize_intervals ? draw_interval_length()
+                                           : config.interval_s) {
+    staged_.reserve(kUpdateBlock);
 #if SCD_OBS_ENABLED
     if (config_.metrics) obs_ = &obs::PipelineInstruments::global();
 #endif
@@ -466,45 +464,19 @@ class Engine final : public EngineBase {
       throw std::invalid_argument(
           "ChangeDetectionPipeline: update must be finite");
     }
-    if (!started_) {
-      started_ = true;
-      current_start_ = time_s;
-      last_time_ = time_s;
+    // A late record is counted and binned into the open interval: the
+    // "nondecreasing order" contract is enforced by correction, not by
+    // aborting the stream or silently mis-binning.
+    if (cutter_.place(time_s, [this] { close_interval(); }) &&
+        obs_ != nullptr) {
+      obs_->out_of_order.inc();
     }
-    if (time_s < last_time_) {
-      // Late record. Keep the feed alive: count it and bin it into the open
-      // interval (clamped to the interval's start when it predates even
-      // that) — the documented "nondecreasing order" contract is enforced by
-      // correction, not by aborting the stream or silently mis-binning.
-      ++stats_.out_of_order_records;
-#if SCD_OBS_ENABLED
-      if (obs_ != nullptr) obs_->out_of_order.inc();
-#endif
-      if (time_s < current_start_) time_s = current_start_;
-    } else {
-      last_time_ = time_s;
-    }
-    while (time_s >= current_start_ + current_len_) close_interval();
     interval_open_ = true;
     // The records counter is batched into close_interval(): one shared
     // fetch_add per interval instead of one per record keeps this path free
     // of cross-core traffic (a per-record inc alone costs ~5% throughput).
-#if SCD_OBS_ENABLED
-    if (obs_ != nullptr) {
-      if ((stats_.records & kUpdateSampleMask) == 0) {
-        obs::ScopedTimer timer(&obs_->stage_sketch_update,
-                               &stats_.update_seconds);
-        observed_.update(key, update);
-        ++stats_.update_samples;
-      } else {
-        observed_.update(key, update);
-      }
-    } else {
-      observed_.update(key, update);
-    }
-#else
-    observed_.update(key, update);
-#endif
+    staged_.push_back({key, update});
+    if (staged_.size() == kUpdateBlock) apply_staged();
     ++records_in_interval_;
     ++stats_.records;
     // Sketch-recovery engines never keep keys — that absence is the mode's
@@ -533,15 +505,12 @@ class Engine final : public EngineBase {
           "ChangeDetectionPipeline::ingest_interval: an interval opened by "
           "add() is still in progress");
     }
-    if (started_ && batch.start_s < current_start_) {
+    if (cutter_.started() && batch.start_s < cutter_.start_s()) {
       throw std::invalid_argument(
           "ChangeDetectionPipeline::ingest_interval: batches must be "
           "time-ordered");
     }
-    started_ = true;
-    current_start_ = batch.start_s;
-    current_len_ = batch.len_s;
-    last_time_ = std::max(last_time_, batch.start_s + batch.len_s);
+    cutter_.jump_to(batch.start_s, batch.len_s);
     observed_.load_registers(batch.registers);
     if constexpr (kHasVoteState) {
       if (batch.mv_candidates.size() != observed_.candidates().size() ||
@@ -561,7 +530,7 @@ class Engine final : public EngineBase {
   }
 
   void flush() override {
-    if (!started_) return;
+    if (!cutter_.started()) return;
     if (interval_open_) close_interval();
     if (pending_.has_value()) {
       // kNextInterval: the last error sketch never sees future keys; emit an
@@ -576,7 +545,9 @@ class Engine final : public EngineBase {
   }
 
   [[nodiscard]] PipelineStats stats() const noexcept override {
-    return stats_;  // sketch_bytes is fixed at construction
+    PipelineStats s = stats_;  // sketch_bytes is fixed at construction
+    s.out_of_order_records = cutter_.out_of_order();
+    return s;
   }
 
   void set_interval_close_callback(
@@ -592,7 +563,8 @@ class Engine final : public EngineBase {
   }
 
   [[nodiscard]] StreamPosition position() const noexcept override {
-    return {started_, interval_index_, current_start_, last_time_};
+    return {cutter_.started(), interval_index_, cutter_.start_s(),
+            cutter_.high_water_s()};
   }
 
   [[nodiscard]] std::size_t reports_emitted() const noexcept override {
@@ -616,10 +588,10 @@ class Engine final : public EngineBase {
     out.u64(static_cast<std::uint64_t>(config_.key_kind));
     out.u64(static_cast<std::uint64_t>(config_.update_kind));
 
-    out.u64(started_ ? 1 : 0);
-    out.f64(current_start_);
-    out.f64(current_len_);
-    out.f64(last_time_);
+    out.u64(cutter_.started() ? 1 : 0);
+    out.f64(cutter_.start_s());
+    out.f64(cutter_.length_s());
+    out.f64(cutter_.high_water_s());
     out.u64(interval_index_);
     write_model_config(out, active_model_);
     out.f64(smoothed_f2_);
@@ -634,7 +606,7 @@ class Engine final : public EngineBase {
     out.u64(stats_.recovery_candidates);  // v3
     out.u64(stats_.keys_recovered);       // v3
     out.u64(stats_.hysteresis_suppressed);
-    out.u64(stats_.out_of_order_records);
+    out.u64(cutter_.out_of_order());
     out.f64(stats_.update_seconds);
     out.u64(stats_.update_samples);
     out.f64(stats_.close_seconds);
@@ -692,10 +664,10 @@ class Engine final : public EngineBase {
           "engine state (seed, key kind, update kind) does not match this "
           "pipeline's configuration");
     }
-    started_ = in.u64() != 0;
-    current_start_ = in.f64();
-    current_len_ = in.f64();
-    last_time_ = in.f64();
+    const bool started = in.u64() != 0;
+    const double start_s = in.f64();
+    const double length_s = in.f64();
+    const double high_water_s = in.f64();
     interval_index_ = static_cast<std::size_t>(in.u64());
     active_model_ = read_model_config(in);
     smoothed_f2_ = in.f64();
@@ -711,7 +683,7 @@ class Engine final : public EngineBase {
     stats_.recovery_candidates = in.u64();  // v3
     stats_.keys_recovered = in.u64();       // v3
     stats_.hysteresis_suppressed = in.u64();
-    stats_.out_of_order_records = in.u64();
+    cutter_.restore(started, start_s, length_s, high_water_s, in.u64());
     stats_.update_seconds = in.f64();
     stats_.update_samples = in.u64();
     stats_.close_seconds = in.f64();
@@ -755,6 +727,7 @@ class Engine final : public EngineBase {
     // Boundary state: a snapshot is only taken between intervals, so the
     // open-interval accumulators restore to empty.
     observed_.set_zero();
+    staged_.clear();
     keys_.clear();
     records_in_interval_ = 0;
     interval_open_ = false;
@@ -781,19 +754,36 @@ class Engine final : public EngineBase {
                       4.0 * config_.interval_s);
   }
 
+  /// Applies the staged records to the observed sketch, timed as one
+  /// sketch_update stage sample when metrics are on.
+  void apply_staged() {
+    if (staged_.empty()) return;
+    if (obs_ != nullptr) {
+      obs::ScopedTimer timer(&obs_->stage_sketch_update,
+                             &stats_.update_seconds);
+      observed_.update_batch(staged_);
+      stats_.update_samples += staged_.size();
+    } else {
+      observed_.update_batch(staged_);
+    }
+    staged_.clear();
+  }
+
   void close_interval() {
+    apply_staged();  // timed as sketch_update, not as part of the close
     SCD_TRACE_SPAN_ARG("interval_close", "core", records_in_interval_);
     const common::Stopwatch close_watch;
+    const double len_s = cutter_.length_s();
     IntervalReport report;
     report.index = interval_index_;
-    report.start_s = current_start_;
-    report.end_s = current_start_ + current_len_;
+    report.start_s = cutter_.start_s();
+    report.end_s = report.start_s + len_s;
     report.records = records_in_interval_;
 
     if (config_.randomize_intervals) {
       // Normalize to per-nominal-interval volume so intervals of different
       // lengths are comparable (§6; sketch linearity makes this a scale).
-      observed_.scale(config_.interval_s / current_len_);
+      observed_.scale(config_.interval_s / len_s);
     }
 
     if (config_.refit_every > 0) {
@@ -853,8 +843,8 @@ class Engine final : public EngineBase {
     records_in_interval_ = 0;
     interval_open_ = false;
     ++stats_.intervals_closed;
-    current_start_ += current_len_;
-    if (config_.randomize_intervals) current_len_ = draw_interval_length();
+    cutter_.advance(config_.randomize_intervals ? draw_interval_length()
+                                                : len_s);
     ++interval_index_;
 
     const double close_s = close_watch.seconds();
@@ -1093,14 +1083,13 @@ class Engine final : public EngineBase {
   forecast::ModelConfig active_model_;
   common::Rng sample_rng_;
   common::Rng interval_rng_;
-  double current_len_;
-  bool started_ = false;
+  IntervalCutter cutter_;  // declared after interval_rng_: draws from it
+  /// Records accepted by add() but not yet applied to observed_.
+  std::vector<sketch::Record> staged_;
   /// True between a record landing (add) and the interval's close; flush
   /// closes only open intervals so ingest_interval (which closes eagerly)
   /// does not leave a phantom empty interval behind.
   bool interval_open_ = false;
-  double current_start_ = 0.0;
-  double last_time_ = 0.0;  // high-water mark for out-of-order detection
   std::size_t interval_index_ = 0;
   std::uint64_t records_in_interval_ = 0;
   std::unordered_set<std::uint64_t> keys_;
@@ -1128,8 +1117,7 @@ class ChangeDetectionPipeline::Impl {
       if (callback_) callback_(report);
       reports_.push_back(std::move(report));
     };
-    // RecoveryMode x key width -> engine sketch type. validate() already
-    // rejected group-testing with a 64-bit key kind.
+    // RecoveryMode x key width -> engine sketch type.
     const bool key32 = traffic::key_fits_32bit(config_.key_kind);
     switch (config_.recovery) {
       case RecoveryMode::kReplay:
@@ -1146,10 +1134,6 @@ class ChangeDetectionPipeline::Impl {
         } else {
           engine_ = std::make_unique<Engine<sketch::MvSketch64>>(config_, emit);
         }
-        break;
-      case RecoveryMode::kGroupTesting:
-        engine_ =
-            std::make_unique<Engine<sketch::GroupTestingSketch>>(config_, emit);
         break;
     }
   }

@@ -53,22 +53,23 @@ enum class ThresholdBaseline {
   kSmoothedF2,
 };
 
-/// How the keys behind an aggregate change are identified (ROADMAP open
-/// item 2; docs/KEY_RECOVERY.md):
+/// How the keys behind an aggregate change are identified
+/// (docs/KEY_RECOVERY.md):
 ///   * kReplay — the paper's §3.3 key replay: remember the interval's keys
 ///     and run each through ESTIMATE at close (exact ranking, but a second
 ///     pass plus O(distinct keys) state per interval);
-///   * kGroupTesting — read keys out of the per-bit counters of the
-///     group-testing sketch (no key state; 33x memory/UPDATE cost);
 ///   * kInvertible — read keys out of the majority-vote invertible sketch
-///     (no key state; 3x memory, single-pass).
-/// In the sketch-recovery modes the pipeline keeps no key set at all:
+///     (no key state; 3x memory, single-pass, 32- and 64-bit keys).
+/// In the sketch-recovery mode the pipeline keeps no key set at all:
 /// changed keys are recovered directly from the forecast-error sketch
 /// S_e(t), so KeyReplayMode and key_sample_rate do not apply.
+///
+/// The values are pinned: config_fingerprint mixes them, and checkpoints
+/// and provenance records carry that fingerprint. Value 1 belonged to a
+/// retired group-testing mode and must not be reused.
 enum class RecoveryMode {
-  kReplay,
-  kGroupTesting,
-  kInvertible,
+  kReplay = 0,
+  kInvertible = 2,
 };
 
 struct PipelineConfig {
@@ -86,10 +87,9 @@ struct PipelineConfig {
   double baseline_alpha = 0.3;
   KeyReplayMode replay = KeyReplayMode::kCurrentInterval;
   double key_sample_rate = 1.0;          // fraction of keys replayed
-  /// Key-identification strategy. The sketch-recovery modes require the
-  /// defaults for the replay knobs they make meaningless (kCurrentInterval,
-  /// key_sample_rate 1.0 — validate() rejects anything else) and
-  /// kGroupTesting additionally requires a 32-bit key kind.
+  /// Key-identification strategy. The sketch-recovery mode requires the
+  /// defaults for the replay knobs it makes meaningless (kCurrentInterval,
+  /// key_sample_rate 1.0 — validate() rejects anything else).
   RecoveryMode recovery = RecoveryMode::kReplay;
   /// §6 boundary-effect mitigation: draw each interval's length from an
   /// exponential distribution with mean interval_s (clamped to
@@ -106,10 +106,10 @@ struct PipelineConfig {
   std::size_t refit_every = 0;           // 0 = no online re-fitting
   std::size_t refit_window = 24;         // history intervals for re-fitting
   /// Feed the process-wide observability instruments (src/obs): per-stage
-  /// latency histograms, counters, and gauges. The per-record cost is one
-  /// sampled (1/64) stopwatch read — counters are batched and flushed to
-  /// the shared registry at interval close, so the registry's records
-  /// counter advances at interval granularity. Set to false for
+  /// latency histograms, counters, and gauges. UPDATE is timed once per
+  /// staged block of records, not per record — counters are batched and
+  /// flushed to the shared registry at interval close, so the registry's
+  /// records counter advances at interval granularity. Set to false for
   /// micro-benchmarks that must not touch shared state.
   bool metrics = true;
 
@@ -157,9 +157,10 @@ struct PipelineStats {
   /// export must not abort a live feed.
   std::uint64_t out_of_order_records = 0;
 
-  // Cumulative stage budget (seconds). update_seconds covers only the
-  // sampled (1 in 64) add() calls that were timed; scale by
-  // records / update_samples for a whole-stream estimate.
+  // Cumulative stage budget (seconds). update_seconds is the time spent
+  // applying staged add() records to the observed sketch, measured only
+  // when metrics are on; update_samples counts the records it covers.
+  // Scale by records / update_samples for a whole-stream estimate.
   double update_seconds = 0.0;
   std::uint64_t update_samples = 0;
   double close_seconds = 0.0;
@@ -178,8 +179,7 @@ struct IntervalBatch {
   double start_s = 0.0;
   double len_s = 0.0;
   std::uint64_t records = 0;
-  /// Row-major register table. h x k for the replay/invertible modes'
-  /// counter table; h x k x 33 cell table for kGroupTesting.
+  /// Row-major h x k counter table.
   std::vector<double> registers;
   std::vector<std::uint64_t> keys;  // distinct keys (shard-concatenated)
   /// kInvertible only: the merged sketch's per-bucket majority-vote state

@@ -18,8 +18,8 @@ std::string row(const char* stage, double total_s, double unit_s,
 }  // namespace
 
 std::string format_stage_budget(const core::PipelineStats& stats) {
-  // update_seconds covers only the sampled add() calls; scale up to the
-  // whole stream for the budget view.
+  // update_seconds covers only the timed records; scale up to the whole
+  // stream for the budget view.
   const double update_est =
       stats.update_samples == 0
           ? 0.0
@@ -64,7 +64,7 @@ std::string format_stage_budget(const core::PipelineStats& stats) {
              "refit", stats.refit_seconds / accounted);
   char tail[160];
   std::snprintf(tail, sizeof(tail),
-                "  * extrapolated from %llu sampled updates of %llu records\n",
+                "  * extrapolated from %llu timed updates of %llu records\n",
                 static_cast<unsigned long long>(stats.update_samples),
                 static_cast<unsigned long long>(stats.records));
   out += tail;

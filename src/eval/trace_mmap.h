@@ -6,11 +6,8 @@
 // chunk staging into a BoundedQueue. At multi-million-records/s that
 // per-record motion, not hashing, dominates the feed side. MappedTrace
 // removes it: the whole file is mapped read-only (madvise SEQUENTIAL so the
-// kernel reads ahead and drops pages behind), records are decoded in place
-// from the mapped bytes, and feed_trace() hands 4K-record slices straight
-// to BasicKarySketch::update_batch via ChangeDetectionPipeline::
-// ingest_interval — no BoundedQueue, no per-record virtual dispatch, one
-// decode per record into a reusable scratch buffer.
+// kernel reads ahead and drops pages behind) and records are decoded in
+// place from the mapped bytes — no stream buffer, no BoundedQueue.
 //
 // Validation mirrors src/checkpoint: every way an on-disk file can lie has
 // a typed error, checked in order (open, header length, magic, version,
@@ -18,15 +15,11 @@
 // record_count() whole records are present, no trailing garbage. A
 // zero-record trace (header only) is valid.
 //
-// feed_trace() reproduces ChangeDetectionPipeline::add_record's stream
-// contract exactly — same interval grid (first record opens interval 0 at
-// its timestamp), same out-of-order clamp into the open interval, quiet
-// gaps closed as empty intervals — so on the same trace the reports and
-// alarms are bit-identical to the per-record feed (asserted by
-// tests/eval/trace_mmap_test.cpp). Out-of-order records are counted in the
-// returned MmapFeedStats (the batch feed has no per-record stats channel
-// into the engine), matching how ParallelPipeline folds its front-end
-// counter.
+// feed_trace() is a decode-and-add_record loop: interval cutting, the
+// out-of-order clamp and the batched UPDATE all happen inside the pipeline,
+// so on the same trace its reports, alarms and PipelineStats are exactly
+// those of any other add_record feed (asserted by
+// tests/eval/trace_mmap_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -91,8 +84,8 @@ class MappedTrace {
   [[nodiscard]] traffic::FlowRecord record(std::size_t index) const noexcept;
 
   /// Bulk decode of `out.size()` records starting at `first` into caller
-  /// scratch — the slice primitive feed_trace() builds on. The range
-  /// [first, first + out.size()) must lie within record_count().
+  /// scratch. The range [first, first + out.size()) must lie within
+  /// record_count().
   void decode(std::size_t first,
               std::span<traffic::FlowRecord> out) const noexcept;
 
@@ -102,28 +95,10 @@ class MappedTrace {
   std::uint64_t count_ = 0;
 };
 
-/// Front-end counters for one feed_trace() run (the engine's own
-/// PipelineStats track everything downstream of ingest_interval).
-struct MmapFeedStats {
-  std::uint64_t records = 0;
-  std::uint64_t out_of_order_records = 0;
-  std::size_t intervals_closed = 0;
-};
-
-struct MmapFeedOptions {
-  /// Records decoded and applied per update_batch slice. 4096 matches
-  /// BasicKarySketch::kUpdateBlock, so each slice is exactly one
-  /// hash-batched row sweep. Must be >= 1.
-  std::size_t slice_records = 4096;
-};
-
-/// Feeds the whole trace into `pipeline` via the batched interval path and
-/// closes the final (possibly partial) interval, like flush(). The pipeline
-/// must be freshly positioned (no interval in progress); its config supplies
-/// the key/update extraction, interval grid, and sketch geometry. Throws
-/// std::invalid_argument on out-of-range options.
-MmapFeedStats feed_trace(const MappedTrace& trace,
-                         core::ChangeDetectionPipeline& pipeline,
-                         const MmapFeedOptions& options = {});
+/// Feeds every record of the trace into `pipeline` with add_record, then
+/// flush()es it. The pipeline's stats() count the records, intervals and
+/// out-of-order records of the run.
+void feed_trace(const MappedTrace& trace,
+                core::ChangeDetectionPipeline& pipeline);
 
 }  // namespace scd::eval

@@ -13,13 +13,13 @@
 #include "common/mutex.h"
 #include "common/random.h"
 #include "common/thread_annotations.h"
+#include "core/interval_cutter.h"
 #include "core/pipeline.h"
 #include "hash/cw_hash.h"
 #include "hash/tabulation_hash.h"
 #include "ingest/ingest_metrics.h"
 #include "ingest/shard_set.h"
 #include "obs/metrics.h"
-#include "sketch/group_testing.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
 #include "sketch/serialize.h"
@@ -98,7 +98,8 @@ class ParallelPipeline::Impl {
   Impl(core::PipelineConfig config, ParallelConfig parallel)
       : config_(std::move(config)),
         parallel_(parallel),
-        serial_(config_) {  // validates config_ and owns forecast/detect
+        serial_(config_),  // validates config_ and owns forecast/detect
+        cutter_(config_.interval_s) {
     parallel_.validate(config_);
 #if SCD_OBS_ENABLED
     if (config_.metrics) {
@@ -110,8 +111,7 @@ class ParallelPipeline::Impl {
         1, parallel_.queue_capacity / parallel_.batch_size);
     // Shard-set dispatch mirrors the serial engine's (recovery mode, key
     // width) switch so the workers accumulate the same sketch type the
-    // detection engine consumes. validate() has already rejected the
-    // group-testing + 64-bit combination.
+    // detection engine consumes.
     const bool key32 = traffic::key_fits_32bit(config_.key_kind);
     const auto make_shards = [&]<typename SketchT>() {
       shards_ = std::make_unique<ShardSet<SketchT>>(
@@ -133,9 +133,6 @@ class ParallelPipeline::Impl {
           make_shards.operator()<sketch::MvSketch64>();
         }
         break;
-      case core::RecoveryMode::kGroupTesting:
-        make_shards.operator()<sketch::GroupTestingSketch>();
-        break;
     }
     pending_.resize(parallel_.workers);
     for (Chunk& chunk : pending_) chunk.reserve(parallel_.batch_size);
@@ -155,20 +152,9 @@ class ParallelPipeline::Impl {
       throw std::invalid_argument(
           "ParallelPipeline: update must be finite");
     }
-    if (!started_) {
-      started_ = true;
-      current_start_ = time_s;
-      last_time_ = time_s;
-    }
-    if (time_s < last_time_) {
-      // Same contract as the serial engine: count and clamp into the open
-      // interval rather than rejecting or mis-binning.
-      ++stats_.out_of_order_records;
-      if (time_s < current_start_) time_s = current_start_;
-    } else {
-      last_time_ = time_s;
-    }
-    while (time_s >= current_start_ + config_.interval_s) close_interval();
+    // Same binning as the serial engine: late records are counted and
+    // clamped into the open interval rather than rejected or mis-binned.
+    cutter_.place(time_s, [this] { close_interval(); });
     Chunk& chunk = pending_[shard_of(key)];
     chunk.push_back({key, update});
     if (chunk.size() >= parallel_.batch_size) {
@@ -179,7 +165,7 @@ class ParallelPipeline::Impl {
   }
 
   void start_at(double time_s) {
-    if (started_) {
+    if (cutter_.started()) {
       throw std::logic_error(
           "ParallelPipeline::start_at: the stream has already started (call "
           "before the first record, or restore a snapshot instead)");
@@ -188,13 +174,11 @@ class ParallelPipeline::Impl {
       throw std::invalid_argument(
           "ParallelPipeline::start_at: anchor time must be finite");
     }
-    started_ = true;
-    current_start_ = time_s;
-    last_time_ = time_s;
+    cutter_.start_at(time_s);
   }
 
   void flush() {
-    if (!started_) return;
+    if (!cutter_.started()) return;
     close_interval();
     // Wait for the merger to consume every closed epoch: after drain() the
     // serial stages have ingested all intervals and the merger is idle, so
@@ -207,12 +191,13 @@ class ParallelPipeline::Impl {
 
   [[nodiscard]] core::PipelineStats stats() const noexcept {
     core::PipelineStats s = serial_.stats();
-    s.out_of_order_records += stats_.out_of_order_records;
+    s.out_of_order_records += cutter_.out_of_order();
     return s;
   }
 
   [[nodiscard]] ParallelStats parallel_stats() const noexcept {
     ParallelStats s = stats_;
+    s.out_of_order_records = cutter_.out_of_order();
     s.backpressure_waits = shards_->backpressure_waits();
     s.shutdown_dropped_records = shards_->dropped_records();
     return s;
@@ -265,11 +250,11 @@ class ParallelPipeline::Impl {
     }
     std::vector<std::uint8_t> bytes;
     append_u64(bytes, kFrontendStateVersion);
-    append_u64(bytes, started_ ? 1 : 0);
-    append_f64(bytes, current_start_);
-    append_f64(bytes, last_time_);
+    append_u64(bytes, cutter_.started() ? 1 : 0);
+    append_f64(bytes, cutter_.start_s());
+    append_f64(bytes, cutter_.high_water_s());
     append_u64(bytes, stats_.records);
-    append_u64(bytes, stats_.out_of_order_records);
+    append_u64(bytes, cutter_.out_of_order());
     append_u64(bytes, stats_.barriers);
     // Shard sketches are all drained at a barrier and backpressure_waits is
     // a transient liveness counter, so the serial engine blob is the only
@@ -290,12 +275,13 @@ class ParallelPipeline::Impl {
               " is not the supported version " +
               std::to_string(kFrontendStateVersion));
     }
-    started_ = take_u64(bytes, pos) != 0;
-    current_start_ = take_f64(bytes, pos);
-    last_time_ = take_f64(bytes, pos);
+    const bool started = take_u64(bytes, pos) != 0;
+    const double start_s = take_f64(bytes, pos);
+    const double high_water_s = take_f64(bytes, pos);
     stats_ = ParallelStats{};
     stats_.records = take_u64(bytes, pos);
-    stats_.out_of_order_records = take_u64(bytes, pos);
+    cutter_.restore(started, start_s, config_.interval_s, high_water_s,
+                    take_u64(bytes, pos));
     stats_.barriers = static_cast<std::size_t>(take_u64(bytes, pos));
     const std::uint64_t serial_size = take_u64(bytes, pos);
     if (bytes.size() - pos < serial_size) {
@@ -327,9 +313,9 @@ class ParallelPipeline::Impl {
       p.high_water_s = std::max(p.high_water_s, active_close_->last_time);
       return p;
     }
-    p.started = started_;
-    p.next_interval_start_s = current_start_;
-    p.high_water_s = std::max(p.high_water_s, last_time_);
+    p.started = cutter_.started();
+    p.next_interval_start_s = cutter_.start_s();
+    p.high_water_s = std::max(p.high_water_s, cutter_.high_water_s());
     return p;
   }
 
@@ -373,20 +359,20 @@ class ParallelPipeline::Impl {
     SCD_TRACE_SPAN("interval_close_barrier", "ingest");
     for (std::size_t i = 0; i < pending_.size(); ++i) flush_chunk(i);
     PendingClose close;
-    close.start_s = current_start_;
+    close.start_s = cutter_.start_s();
     // 0-based index of the interval being closed; stats_.barriers survives
     // save_state/restore_state, so a restored node keeps numbering where the
     // snapshot left off.
     close.interval_index = stats_.barriers;
-    close.last_time = last_time_;
+    close.last_time = cutter_.high_water_s();
     close.records = stats_.records;
-    close.out_of_order = stats_.out_of_order_records;
+    close.out_of_order = cutter_.out_of_order();
     {
       common::MutexLock lock(close_mutex_);
       pending_closes_.push_back(close);
     }
     ++stats_.barriers;
-    current_start_ += config_.interval_s;
+    cutter_.advance(config_.interval_s);
     records_since_barrier_ = 0;
     // Stamp the epoch AFTER the PendingClose is queued — the merger may
     // consume the epoch immediately and must find its close on the ledger.
@@ -428,9 +414,7 @@ class ParallelPipeline::Impl {
   }
 
   std::vector<Chunk> pending_;  // per-shard producer-side batches
-  bool started_ = false;
-  double current_start_ = 0.0;
-  double last_time_ = 0.0;
+  core::IntervalCutter cutter_;
   std::uint64_t records_since_barrier_ = 0;
   ParallelStats stats_;
   // Closed-but-unmerged interval ledger: producer pushes at close, the

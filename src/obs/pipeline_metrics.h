@@ -8,7 +8,7 @@
 //
 // Stage histograms form one family, scd_pipeline_stage_seconds{stage=...},
 // mapping to the paper's module structure (§2.2):
-//   sketch_update  — UPDATE(S_o, a, u) per record (sampled; see pipeline.cpp)
+//   sketch_update  — UPDATE(S_o, a, u) of one staged block of records
 //   interval_close — everything done when an interval boundary passes
 //   forecast       — the forecasting module's step (S_f, S_e construction)
 //   estimate_f2    — ESTIMATEF2(S_e) + threshold computation (T_A)

@@ -45,13 +45,6 @@ void GroupTestingSketch::update(std::uint64_t key, double u) noexcept {
   }
 }
 
-void GroupTestingSketch::update_batch(
-    std::span<const Record> records) noexcept {
-  for (const Record& r : records) update(r.key, r.update);
-}
-
-double GroupTestingSketch::sum() const noexcept { return row_sum(0); }
-
 double GroupTestingSketch::row_sum(std::size_t row) const noexcept {
   double sum = 0.0;
   for (std::size_t bucket = 0; bucket < k_; ++bucket) {
@@ -77,23 +70,6 @@ double GroupTestingSketch::estimate(std::uint64_t key) const noexcept {
   std::array<double, kMaxRows> sums;
   for (std::size_t row = 0; row < depth(); ++row) sums[row] = row_sum(row);
   return estimate_with(key, std::span<const double>(sums.data(), depth()));
-}
-
-void GroupTestingSketch::estimate_rows(std::uint64_t key,
-                                       std::span<double> raw_buckets,
-                                       std::span<double> row_estimates) const {
-  const std::size_t h = depth();
-  if (raw_buckets.size() != h || row_estimates.size() != h) {
-    throw std::invalid_argument("estimate_rows: spans must have length h");
-  }
-  const std::uint64_t mask = k_ - 1;
-  const auto kd = static_cast<double>(k_);
-  for (std::size_t row = 0; row < h; ++row) {
-    const std::size_t bucket = family_->hash16(row, key) & mask;
-    const double total = cells_[cell_index(row, bucket)];
-    raw_buckets[row] = total;
-    row_estimates[row] = (total - row_sum(row) / kd) / (1.0 - 1.0 / kd);
-  }
 }
 
 double GroupTestingSketch::estimate_f2() const noexcept {
@@ -185,30 +161,6 @@ void GroupTestingSketch::add_scaled(const GroupTestingSketch& other,
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     cells_[i] += c * other.cells_[i];
   }
-}
-
-GroupTestingSketch GroupTestingSketch::combine(
-    std::span<const double> coeffs,
-    std::span<const GroupTestingSketch* const> sketches) {
-  if (sketches.empty() || coeffs.size() != sketches.size()) {
-    throw std::invalid_argument(
-        "GroupTestingSketch::combine: need one coefficient per sketch and at "
-        "least one sketch");
-  }
-  GroupTestingSketch out(sketches.front()->family_, sketches.front()->k_);
-  for (std::size_t l = 0; l < sketches.size(); ++l) {
-    out.add_scaled(*sketches[l], coeffs[l]);
-  }
-  return out;
-}
-
-void GroupTestingSketch::load_registers(std::span<const double> values) {
-  if (values.size() != cells_.size()) {
-    throw std::invalid_argument(
-        "GroupTestingSketch::load_registers: span size does not match the "
-        "cell table");
-  }
-  std::copy(values.begin(), values.end(), cells_.begin());
 }
 
 }  // namespace scd::sketch

@@ -13,15 +13,16 @@
 // is a LinearSignal like the plain k-ary sketch: the forecasting models run
 // on it unchanged and key recovery can be performed on the *forecast error*
 // sketch. The price is the paper's stated one: a 33x register blow-up and
-// 33x UPDATE cost for 32-bit keys. It implements the same pipeline sketch
-// surface as BasicKarySketch / BasicMvSketch (registers, combine,
-// recover_heavy_keys) so ChangeDetectionPipeline can run on it directly as
-// the --recovery=group-testing mode; keys are bound to 32 bits — there is
-// no 64-bit group-testing variant (that would be 65 counters per cell).
+// 33x UPDATE cost for 32-bit keys; keys are bound to 32 bits — there is no
+// 64-bit group-testing variant (that would be 65 counters per cell). The
+// invertible majority-vote sketch (sketch/mv_sketch.h) recovers keys at 3x
+// memory for 32- and 64-bit keys, so it is the pipeline's recovery mode;
+// this sketch stays as the §3.3 comparison point of bench_ext_key_recovery
+// (docs/KEY_RECOVERY.md).
 //
-// Structural misuse (null family, bad shape, mismatched spans, combining
-// incompatible sketches) throws std::invalid_argument in all build types,
-// matching BasicKarySketch's contract.
+// Structural misuse (null family, bad shape, adding incompatible sketches)
+// throws std::invalid_argument in all build types, matching
+// BasicKarySketch's contract.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,7 @@
 #include <vector>
 
 #include "hash/tabulation_hash.h"
-#include "sketch/kary_sketch.h"  // kMaxRows, Record
+#include "sketch/kary_sketch.h"  // kMaxRows
 #include "sketch/mv_sketch.h"    // RecoveredHeavyKey
 
 namespace scd::sketch {
@@ -44,7 +45,6 @@ class GroupTestingSketch {
  public:
   using Family = hash::TabulationHashFamily;
   using FamilyPtr = std::shared_ptr<const Family>;
-  using FamilyType = Family;
 
   static constexpr unsigned kKeyBits = 32;
 
@@ -56,21 +56,8 @@ class GroupTestingSketch {
   /// counters only cover kKeyBits).
   void update(std::uint64_t key, double u) noexcept;
 
-  /// Batched UPDATE, bit-identical to calling update() record by record.
-  /// The 33-counter fan-out dominates the cost, so there is no row-sweep
-  /// rearrangement worth doing here.
-  void update_batch(std::span<const Record> records) noexcept;
-
-  /// Total update mass sum(S) over row 0 (identical across rows).
-  [[nodiscard]] double sum() const noexcept;
-
   /// Estimates v_key from the totals (same estimator as the k-ary sketch).
   [[nodiscard]] double estimate(std::uint64_t key) const noexcept;
-
-  /// Per-row evidence behind estimate(key), for alarm provenance; both
-  /// spans must have length depth(). Matches BasicKarySketch.
-  void estimate_rows(std::uint64_t key, std::span<double> raw_buckets,
-                     std::span<double> row_estimates) const;
 
   /// Estimated second moment from the totals.
   [[nodiscard]] double estimate_f2() const noexcept;
@@ -81,9 +68,10 @@ class GroupTestingSketch {
   /// the row hash, then re-estimated and filtered. Sorted by |value| desc.
   [[nodiscard]] std::vector<RecoveredKey> recover(double threshold_abs) const;
 
-  /// Same sweep in the shared pipeline result type (64-bit keys, sorted by
-  /// |value| descending, ties by key ascending). `candidates_swept`, when
-  /// non-null, receives the pre-verification candidate count.
+  /// Same sweep in the result type of the invertible sketch (64-bit keys,
+  /// sorted by |value| descending, ties by key ascending).
+  /// `candidates_swept`, when non-null, receives the pre-verification
+  /// candidate count.
   [[nodiscard]] std::vector<RecoveredHeavyKey> recover_heavy_keys(
       double threshold_abs, std::size_t* candidates_swept = nullptr) const;
 
@@ -98,24 +86,6 @@ class GroupTestingSketch {
   [[nodiscard]] bool compatible(const GroupTestingSketch& other)
       const noexcept {
     return family_ == other.family_ && k_ == other.k_;
-  }
-
-  /// COMBINE(c_1, S_1, ..., c_l, S_l), applied in argument order. Throws
-  /// std::invalid_argument when empty, on length mismatch, or on any
-  /// incompatible sketch.
-  [[nodiscard]] static GroupTestingSketch combine(
-      std::span<const double> coeffs,
-      std::span<const GroupTestingSketch* const> sketches);
-
-  /// Replaces the full cell table (totals + bit counters) wholesale; the
-  /// span must have depth() * K * 33 entries. Throws std::invalid_argument
-  /// on a wrong-sized span.
-  void load_registers(std::span<const double> values);
-
-  /// Raw cell access for tests and serialization: [row][bucket][total,
-  /// bit0..bit31] flattened.
-  [[nodiscard]] std::span<const double> registers() const noexcept {
-    return cells_;
   }
 
   [[nodiscard]] std::size_t depth() const noexcept { return family_->rows(); }

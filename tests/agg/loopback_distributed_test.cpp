@@ -21,6 +21,7 @@
 #include "common/random.h"
 #include "core/pipeline.h"
 #include "ingest/parallel_pipeline.h"
+#include "support/temp_path.h"
 
 namespace scd::agg {
 namespace {
@@ -203,8 +204,7 @@ TEST(LoopbackDistributed, KilledNodeRejoinsFromCheckpointWithoutDoubleCount) {
     server.stop();
   }
 
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "scd_loopback_rejoin";
+  const std::filesystem::path dir = test_support::unique_temp_path("rejoin");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 

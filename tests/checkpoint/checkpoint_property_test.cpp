@@ -21,6 +21,7 @@
 #include "common/random.h"
 #include "core/pipeline.h"
 #include "ingest/parallel_pipeline.h"
+#include "support/temp_path.h"
 
 namespace scd::checkpoint {
 namespace {
@@ -64,8 +65,7 @@ core::PipelineConfig property_config() {
 }
 
 std::filesystem::path fresh_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / name;
+  const std::filesystem::path dir = test_support::unique_temp_path(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

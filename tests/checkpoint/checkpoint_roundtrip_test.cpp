@@ -13,6 +13,7 @@
 
 #include "core/pipeline.h"
 #include "ingest/parallel_pipeline.h"
+#include "support/temp_path.h"
 
 namespace scd::checkpoint {
 namespace {
@@ -30,8 +31,7 @@ core::PipelineConfig small_config() {
 }
 
 std::filesystem::path fresh_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / name;
+  const std::filesystem::path dir = test_support::unique_temp_path(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -16,6 +16,7 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "core/pipeline.h"
+#include "support/temp_path.h"
 
 namespace scd::checkpoint {
 namespace {
@@ -31,8 +32,7 @@ core::PipelineConfig corpus_config() {
 }
 
 std::filesystem::path fresh_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / name;
+  const std::filesystem::path dir = test_support::unique_temp_path(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -27,6 +27,7 @@
 #include "common/random.h"
 #include "core/pipeline.h"
 #include "ingest/parallel_pipeline.h"
+#include "support/temp_path.h"
 
 namespace scd::checkpoint {
 namespace {
@@ -97,8 +98,7 @@ ingest::ParallelConfig crash_parallel() {
 
 TEST(CrashRecovery, Kill9ThenRestoreMatchesUninterruptedRun) {
   const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) /
-      ("crash_recovery_" + std::to_string(::getpid()));
+      test_support::unique_temp_path("checkpoints");
   std::filesystem::remove_all(dir);
 
   // Fork FIRST: no pipeline (and hence no thread) exists yet.

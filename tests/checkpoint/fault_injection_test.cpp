@@ -17,6 +17,7 @@
 
 #include "checkpoint/checkpoint.h"
 #include "core/pipeline.h"
+#include "support/temp_path.h"
 
 namespace scd::checkpoint {
 namespace {
@@ -32,8 +33,7 @@ core::PipelineConfig fault_config() {
 }
 
 std::filesystem::path fresh_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / name;
+  const std::filesystem::path dir = test_support::unique_temp_path(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

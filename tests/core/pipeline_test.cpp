@@ -242,6 +242,58 @@ TEST(Pipeline, IngestIntervalMatchesAddPath) {
   EXPECT_EQ(by_batches.stats().records, by_records.stats().records);
 }
 
+TEST(Pipeline, StagedUpdateBlocksMatchPerRecordSketch) {
+  // add() applies records to the observed sketch in staged blocks; with
+  // 9000 records per interval a block drains mid-interval and another is
+  // drained by the close. The reference sketch takes every record through
+  // per-record UPDATE and enters via ingest_interval.
+  const auto config = base_config();
+  ChangeDetectionPipeline by_records(config);
+  ChangeDetectionPipeline by_batches(config);
+  const auto family = sketch::make_tabulation_family(config.seed, config.h);
+  for (std::size_t t = 0; t < 5; ++t) {
+    const double start = static_cast<double>(t) * config.interval_s;
+    sketch::KarySketch external(family, config.k);
+    IntervalBatch batch;
+    for (std::uint64_t i = 0; i < 9000; ++i) {
+      const std::uint64_t key = 1 + common::mix64(i * 7 + t) % 600;
+      const double value =
+          key == 77 && t == 3 ? 4000.0
+                              : static_cast<double>(1 + i % 13);
+      by_records.add(key, value, start + static_cast<double>(i) * 1e-3);
+      external.update(key, value);
+      batch.keys.push_back(key);
+      ++batch.records;
+    }
+    std::sort(batch.keys.begin(), batch.keys.end());
+    batch.keys.erase(std::unique(batch.keys.begin(), batch.keys.end()),
+                     batch.keys.end());
+    batch.start_s = start;
+    batch.len_s = config.interval_s;
+    batch.registers.assign(external.registers().begin(),
+                           external.registers().end());
+    by_batches.ingest_interval(std::move(batch));
+  }
+  by_records.flush();
+  by_batches.flush();
+  ASSERT_EQ(by_batches.reports().size(), by_records.reports().size());
+  bool spike_found = false;
+  for (std::size_t i = 0; i < by_records.reports().size(); ++i) {
+    const auto& r = by_records.reports()[i];
+    const auto& b = by_batches.reports()[i];
+    EXPECT_EQ(b.records, r.records) << i;
+    EXPECT_EQ(b.keys_checked, r.keys_checked) << i;
+    EXPECT_DOUBLE_EQ(b.estimated_error_f2, r.estimated_error_f2) << i;
+    ASSERT_EQ(b.alarms.size(), r.alarms.size()) << i;
+    for (std::size_t a = 0; a < r.alarms.size(); ++a) {
+      EXPECT_EQ(b.alarms[a].key, r.alarms[a].key);
+      EXPECT_DOUBLE_EQ(b.alarms[a].error, r.alarms[a].error);
+      if (r.alarms[a].key == 77) spike_found = true;
+    }
+  }
+  EXPECT_TRUE(spike_found);
+}
+
 TEST(Pipeline, IngestIntervalValidatesItsBatch) {
   const auto config = base_config();
   ChangeDetectionPipeline pipeline(config);
@@ -625,7 +677,7 @@ TEST(Pipeline, StatsCarryStageBudget) {
   EXPECT_GT(stats.estimate_f2_seconds, 0.0);
   EXPECT_GT(stats.key_replay_seconds, 0.0);
   EXPECT_DOUBLE_EQ(stats.refit_seconds, 0.0);  // no re-fitting configured
-  // One add() in 64 is stopwatch-timed; 301 records => at least 4 samples.
+  // Every staged block is stopwatch-timed, so every record is a sample.
   EXPECT_GE(stats.update_samples, 4u);
   EXPECT_LE(stats.update_samples, stats.records);
   EXPECT_GT(stats.update_seconds, 0.0);
@@ -641,7 +693,7 @@ TEST(Pipeline, MetricsDisabledSkipsTimingButKeepsCounters) {
   const auto stats = pipeline.stats();
   EXPECT_EQ(stats.records, 4u * 50u);
   EXPECT_EQ(stats.intervals_closed, 4u);
-  EXPECT_EQ(stats.update_samples, 0u);  // sampling is metrics-gated
+  EXPECT_EQ(stats.update_samples, 0u);  // timing is metrics-gated
   EXPECT_DOUBLE_EQ(stats.update_seconds, 0.0);
   EXPECT_GT(stats.close_seconds, 0.0);  // per-pipeline budget always on
 }

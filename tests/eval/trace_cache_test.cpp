@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/temp_path.h"
 #include "traffic/synthetic.h"
 
 namespace scd::eval {
@@ -17,7 +18,7 @@ namespace {
 class TraceCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() / "scd_cache_test").string();
+    dir_ = test_support::unique_temp_path("trace_cache").string();
     std::filesystem::create_directories(dir_);
     ASSERT_EQ(setenv("SCD_TRACE_DIR", dir_.c_str(), 1), 0);
   }

@@ -5,10 +5,11 @@
 // record, trailing garbage — must surface as the matching typed
 // TraceMapError, and a zero-record file (header only) must map cleanly.
 //
-// Feed half: feed_trace() batches 4K-record slices through update_batch and
-// ingest_interval, so its reports must be bit-identical to the per-record
-// add_record() feed on the same trace — including interval gaps, slice
-// boundaries that straddle interval boundaries, and out-of-order clamping.
+// Feed half: feed_trace() is a decode-and-add_record loop, so in every
+// recovery mode and interval policy its reports and PipelineStats must be
+// bit-identical to a per-record add_record() feed of the same trace —
+// including interval gaps, randomized interval lengths, staged UPDATE blocks
+// that straddle interval boundaries, and out-of-order clamping.
 #include "eval/trace_mmap.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 
 #include "common/random.h"
 #include "core/pipeline.h"
+#include "support/temp_path.h"
 #include "traffic/flow_record.h"
 #include "traffic/trace_io.h"
 
@@ -31,8 +33,7 @@ namespace scd::eval {
 namespace {
 
 std::string fresh_path(const std::string& name) {
-  const std::filesystem::path path =
-      std::filesystem::path(::testing::TempDir()) / name;
+  const std::filesystem::path path = test_support::unique_temp_path(name);
   std::filesystem::remove(path);
   return path.string();
 }
@@ -62,17 +63,22 @@ traffic::FlowRecord make_record(double time_s, std::uint32_t dst_ip,
 /// Deterministic multi-interval stream: 40 steady keys per 10 s interval
 /// with integer-jittered byte counts, a spike on key 999 in interval 6, and
 /// a quiet gap (no records) in interval 3 so empty-interval closing is on
-/// the path. Integer updates keep every register sum exact, so the
-/// comparisons below can demand bit equality.
+/// the path. Interval 8 repeats its keys into 9000 records, more than two
+/// staged UPDATE blocks, so a block drains inside an interval. Integer
+/// updates keep every register sum exact, so the comparisons below can
+/// demand bit equality.
 std::vector<traffic::FlowRecord> corpus_records() {
   std::vector<traffic::FlowRecord> records;
   for (std::size_t t = 0; t < 10; ++t) {
     if (t == 3) continue;  // gap interval
     const double start = static_cast<double>(t) * 10.0;
-    for (std::uint32_t key = 1; key <= 40; ++key) {
+    const std::uint32_t count = t == 8 ? 9000 : 40;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t key = 1 + i % 40;
       const auto jitter = static_cast<std::uint64_t>(
           common::mix64(key * 1000 + t) % 11);
-      records.push_back(make_record(start + 1.0, key, 300 + jitter));
+      records.push_back(make_record(start + 1.0 + i * 1e-3, key,
+                                    (300 + jitter) / (count / 40)));
     }
     if (t == 6) records.push_back(make_record(start + 2.0, 999, 40000));
   }
@@ -143,9 +149,9 @@ TEST(MappedTrace, ZeroRecordFileIsValid) {
   EXPECT_EQ(trace.size_bytes(), 16u);
 
   core::ChangeDetectionPipeline pipeline(corpus_config());
-  const MmapFeedStats stats = feed_trace(trace, pipeline);
-  EXPECT_EQ(stats.records, 0u);
-  EXPECT_EQ(stats.intervals_closed, 0u);
+  feed_trace(trace, pipeline);
+  EXPECT_EQ(pipeline.stats().records, 0u);
+  EXPECT_EQ(pipeline.stats().intervals_closed, 0u);
   EXPECT_TRUE(pipeline.reports().empty());
 }
 
@@ -205,53 +211,56 @@ TEST(MappedTrace, TrailingBytesAreTyped) {
                    "trailing garbage");
 }
 
-TEST(MappedTrace, FeedRejectsZeroSliceRecords) {
-  const std::string path = fresh_path("mmap_opts.scdt");
-  traffic::write_trace(path, {});
-  const MappedTrace trace(path);
-  core::ChangeDetectionPipeline pipeline(corpus_config());
-  MmapFeedOptions options;
-  options.slice_records = 0;
-  EXPECT_THROW(feed_trace(trace, pipeline, options), std::invalid_argument);
-}
-
-TEST(MappedTrace, FeedMatchesPerRecordFeedBitExactly) {
-  const std::string path = corpus_trace();
-
-  core::ChangeDetectionPipeline serial(corpus_config());
+/// Feeds the trace at `path` both ways under `config` and demands the same
+/// reports, alarms and stats.
+void expect_feed_matches_per_record(const std::string& path,
+                                    const core::PipelineConfig& config) {
+  core::ChangeDetectionPipeline serial(config);
   for (const traffic::FlowRecord& r : traffic::read_trace(path)) {
     serial.add_record(r);
   }
   serial.flush();
-  const AlarmSet expected = alarm_set(serial.reports());
-  ASSERT_FALSE(expected.empty());  // the spike must be flagged
+  ASSERT_FALSE(alarm_set(serial.reports()).empty());  // spike is flagged
 
-  // A slice far smaller than an interval forces both flavors of split:
-  // several slices per interval AND interval boundaries inside a slice.
-  for (const std::size_t slice : {std::size_t{64}, std::size_t{4096}}) {
-    const MappedTrace trace(path);
-    core::ChangeDetectionPipeline pipeline(corpus_config());
-    MmapFeedOptions options;
-    options.slice_records = slice;
-    const MmapFeedStats stats = feed_trace(trace, pipeline, options);
+  const MappedTrace trace(path);
+  core::ChangeDetectionPipeline pipeline(config);
+  feed_trace(trace, pipeline);
 
-    EXPECT_EQ(stats.records, trace.record_count()) << "slice=" << slice;
-    EXPECT_EQ(stats.out_of_order_records, 0u);
-    EXPECT_EQ(stats.intervals_closed, serial.reports().size());
-    ASSERT_EQ(pipeline.reports().size(), serial.reports().size());
-    EXPECT_EQ(alarm_set(pipeline.reports()), expected) << "slice=" << slice;
-    for (std::size_t i = 0; i < serial.reports().size(); ++i) {
-      const auto& s = serial.reports()[i];
-      const auto& p = pipeline.reports()[i];
-      EXPECT_EQ(p.records, s.records) << "slice=" << slice << " i=" << i;
-      EXPECT_EQ(p.keys_checked, s.keys_checked);
-      EXPECT_DOUBLE_EQ(p.estimated_error_f2, s.estimated_error_f2);
-      EXPECT_DOUBLE_EQ(p.alarm_threshold, s.alarm_threshold);
-    }
-    EXPECT_EQ(pipeline.stats().records, serial.stats().records);
-    EXPECT_EQ(pipeline.stats().intervals_closed,
-              serial.stats().intervals_closed);
+  ASSERT_EQ(pipeline.reports().size(), serial.reports().size());
+  EXPECT_EQ(alarm_set(pipeline.reports()), alarm_set(serial.reports()));
+  for (std::size_t i = 0; i < serial.reports().size(); ++i) {
+    SCOPED_TRACE("report " + std::to_string(i));
+    const auto& s = serial.reports()[i];
+    const auto& p = pipeline.reports()[i];
+    EXPECT_DOUBLE_EQ(p.start_s, s.start_s);
+    EXPECT_DOUBLE_EQ(p.end_s, s.end_s);
+    EXPECT_EQ(p.records, s.records);
+    EXPECT_EQ(p.keys_checked, s.keys_checked);
+    EXPECT_DOUBLE_EQ(p.estimated_error_f2, s.estimated_error_f2);
+    EXPECT_DOUBLE_EQ(p.alarm_threshold, s.alarm_threshold);
   }
+  EXPECT_EQ(pipeline.stats().records, trace.record_count());
+  EXPECT_EQ(pipeline.stats().records, serial.stats().records);
+  EXPECT_EQ(pipeline.stats().intervals_closed,
+            serial.stats().intervals_closed);
+  EXPECT_EQ(pipeline.stats().out_of_order_records,
+            serial.stats().out_of_order_records);
+}
+
+TEST(MappedTrace, FeedMatchesPerRecordFeedBitExactly) {
+  expect_feed_matches_per_record(corpus_trace(), corpus_config());
+}
+
+TEST(MappedTrace, FeedMatchesPerRecordFeedInInvertibleMode) {
+  core::PipelineConfig config = corpus_config();
+  config.recovery = core::RecoveryMode::kInvertible;
+  expect_feed_matches_per_record(corpus_trace(), config);
+}
+
+TEST(MappedTrace, FeedMatchesPerRecordFeedWithRandomizedIntervals) {
+  core::PipelineConfig config = corpus_config();
+  config.randomize_intervals = true;
+  expect_feed_matches_per_record(corpus_trace(), config);
 }
 
 TEST(MappedTrace, FeedClampsAndCountsOutOfOrderRecords) {
@@ -263,24 +272,11 @@ TEST(MappedTrace, FeedClampsAndCountsOutOfOrderRecords) {
   for (std::size_t i = 0; i < 8; ++i) bytes[offset + i] = 0;  // t = 0 us
   write_file(path, bytes);
 
-  core::ChangeDetectionPipeline serial(corpus_config());
-  for (const traffic::FlowRecord& r : traffic::read_trace(path)) {
-    serial.add_record(r);
-  }
-  serial.flush();
-  ASSERT_EQ(serial.stats().out_of_order_records, 1u);
-
   const MappedTrace trace(path);
   core::ChangeDetectionPipeline pipeline(corpus_config());
-  const MmapFeedStats stats = feed_trace(trace, pipeline);
-  EXPECT_EQ(stats.out_of_order_records, 1u);
-  ASSERT_EQ(pipeline.reports().size(), serial.reports().size());
-  EXPECT_EQ(alarm_set(pipeline.reports()), alarm_set(serial.reports()));
-  for (std::size_t i = 0; i < serial.reports().size(); ++i) {
-    EXPECT_EQ(pipeline.reports()[i].records, serial.reports()[i].records);
-    EXPECT_DOUBLE_EQ(pipeline.reports()[i].estimated_error_f2,
-                     serial.reports()[i].estimated_error_f2);
-  }
+  feed_trace(trace, pipeline);
+  EXPECT_EQ(pipeline.stats().out_of_order_records, 1u);
+  expect_feed_matches_per_record(path, corpus_config());
 }
 
 }  // namespace

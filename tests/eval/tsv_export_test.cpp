@@ -6,11 +6,13 @@
 #include <filesystem>
 #include <fstream>
 
+#include "support/temp_path.h"
+
 namespace scd::eval {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() / "scd_tsv";
+  const auto dir = test_support::unique_temp_path("tsv");
   std::filesystem::create_directories(dir);
   return (dir / name).string();
 }

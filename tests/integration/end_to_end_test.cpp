@@ -15,6 +15,7 @@
 #include "eval/truth.h"
 #include "forecast/runner.h"
 #include "sketch/serialize.h"
+#include "support/temp_path.h"
 #include "traffic/synthetic.h"
 #include "traffic/trace_io.h"
 
@@ -135,7 +136,7 @@ TEST_F(EndToEndTest, QuietPeriodHasFewAlarmsAtHighThreshold) {
 }
 
 TEST_F(EndToEndTest, TraceFileRoundTripFeedsPipelineIdentically) {
-  const auto dir = std::filesystem::temp_directory_path() / "scd_e2e";
+  const auto dir = scd::test_support::unique_temp_path("e2e");
   std::filesystem::create_directories(dir);
   const auto path = (dir / "scenario.scdt").string();
   traffic::write_trace(path, *trace_);

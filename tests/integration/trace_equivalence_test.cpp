@@ -21,6 +21,7 @@
 #include "ingest/parallel_pipeline.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
+#include "support/temp_path.h"
 
 namespace scd {
 namespace {
@@ -100,8 +101,7 @@ TEST(TraceEquivalence, ParallelTracedAlarmsBitEqualSerialUntraced) {
   // Candidate: W=4 sharded, tracing on, flight recorder armed with
   // dump_on_alarm — the configuration where a dump inside the barrier
   // would deadlock or stall the shard workers.
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "trace_equivalence_fr";
+  const std::filesystem::path dir = test_support::unique_temp_path("flightrec");
   std::filesystem::remove_all(dir);
   obs::TraceController::global().set_enabled(true);
   std::size_t provenance_records = 0;

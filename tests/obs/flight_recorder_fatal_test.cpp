@@ -22,6 +22,7 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
+#include "support/temp_path.h"
 
 namespace scd::obs {
 namespace {
@@ -59,8 +60,7 @@ namespace {
 }
 
 TEST(FlightRecorderFatal, SignalHandlerWritesPreparedDump) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "flightrec_fatal";
+  const std::filesystem::path dir = test_support::unique_temp_path("flightrec");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 

@@ -12,13 +12,13 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/temp_path.h"
 
 namespace scd::obs {
 namespace {
 
 std::filesystem::path fresh_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / name;
+  const std::filesystem::path dir = test_support::unique_temp_path(name);
   std::filesystem::remove_all(dir);
   return dir;
 }

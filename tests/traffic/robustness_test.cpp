@@ -10,6 +10,7 @@
 
 #include "common/random.h"
 #include "sketch/serialize.h"
+#include "support/temp_path.h"
 #include "traffic/csv_import.h"
 #include "traffic/trace_io.h"
 
@@ -17,7 +18,7 @@ namespace scd::traffic {
 namespace {
 
 std::string temp_file(const std::string& name, const std::string& bytes) {
-  const auto dir = std::filesystem::temp_directory_path() / "scd_fuzz";
+  const auto dir = test_support::unique_temp_path("fuzz");
   std::filesystem::create_directories(dir);
   const auto path = (dir / name).string();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

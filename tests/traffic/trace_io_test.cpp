@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "common/random.h"
+#include "support/temp_path.h"
 
 namespace scd::traffic {
 namespace {
@@ -14,7 +15,7 @@ namespace {
 class TraceIoTest : public ::testing::Test {
  protected:
   std::string temp_path(const std::string& name) {
-    const auto dir = std::filesystem::temp_directory_path() / "scd_trace_test";
+    const auto dir = test_support::unique_temp_path("traces");
     std::filesystem::create_directories(dir);
     const auto path = dir / name;
     paths_.push_back(path.string());
