@@ -1,7 +1,7 @@
 // Compiled-out companion to bench_obs_overhead: the same add-dominated
 // loop, but linked against scd_core_noobs — the pipeline translation units
-// rebuilt with -DSCD_OBS_ENABLED=0, so every instrumentation site is
-// removed by the preprocessor rather than skipped at runtime.
+// rebuilt with -DSCD_OBS_ENABLED=0, so every stage timer and span site
+// compiles to nothing and the instruments are never bound.
 //
 // This binary cannot link scd_bench_support (it would drag in the regular
 // scd_core and collide), so it prints in the same format by hand. Compare

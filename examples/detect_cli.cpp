@@ -29,11 +29,13 @@
 #include "common/atomic_file.h"
 #include "common/flags.h"
 #include "common/strutil.h"
+#include "common/timer.h"
 #include "core/pipeline.h"
 #include "detect/provenance.h"
 #include "eval/stage_budget.h"
 #include "obs/exposition.h"
 #include "obs/flight_recorder.h"
+#include "obs/pipeline_metrics.h"
 #include "obs/trace.h"
 #include "traffic/csv_import.h"
 #include "traffic/trace_io.h"
@@ -288,6 +290,7 @@ int main(int argc, char** argv) {
     // already consumed by the checkpointed run — skip them.
     std::uint64_t records = 0;
     std::uint64_t skipped = 0;
+    const common::Stopwatch feed_watch;  // the stage budget's wall time
     const auto feed = [&](const traffic::FlowRecord& record) {
       if (traffic::record_time_s(record) < resume_before_s) {
         ++skipped;
@@ -311,13 +314,16 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(skipped));
     }
     pipeline.flush();
+    const double feed_s = feed_watch.seconds();
     std::printf("\nprocessed %llu records in %zu intervals with %s\n",
                 static_cast<unsigned long long>(records),
                 pipeline.reports().size(),
                 pipeline.config().model.to_string().c_str());
     if (!metrics.empty()) {
-      std::printf("\n%s",
-                  scd::eval::format_stage_budget(pipeline.stats()).c_str());
+      std::printf("\n%s", scd::eval::format_stage_budget(
+                               obs::PipelineInstruments::global(),
+                               pipeline.stats(), feed_s)
+                               .c_str());
       std::printf("\n%s",
                   metrics == "json"
                       ? obs::to_json(obs::MetricsRegistry::global()).c_str()

@@ -55,14 +55,17 @@ class AggServer::Impl {
     if (!running_.exchange(false)) {
       return;
     }
-    listener_.close();  // wakes the blocked accept()
+    // shutdown (not close) wakes the blocked accept(); the fd is released
+    // only once the accept thread that reads it has been joined.
+    listener_.shutdown();
+    if (accept_thread_.joinable()) accept_thread_.join();
+    listener_.close();
     {
       const common::MutexLock lock(state_.conns_mutex);
       // shutdown (not close): the reader threads still own the fds and wake
-      // with EOF; close happens in each reader's epilogue.
+      // with EOF; close happens in each reader's epilogue, under this lock.
       for (auto& conn : state_.conns) conn->sock.shutdown_both();
     }
-    if (accept_thread_.joinable()) accept_thread_.join();
     if (timer_thread_.joinable()) timer_thread_.join();
     std::vector<std::shared_ptr<AggConn>> conns;
     {
@@ -91,8 +94,8 @@ class AggServer::Impl {
 
  private:
   void accept_loop() SCD_EXCLUDES(state_.conns_mutex) {
-    // mo: shutdown flag — stop() closes the listener after the store, so a
-    // stale read at worst costs one extra accept() that fails immediately.
+    // mo: shutdown flag — stop() shuts the listener down after the store, so
+    // a stale read at worst costs one extra accept() that fails immediately.
     while (running_.load(std::memory_order_relaxed)) {
       net::Socket sock;
       try {
@@ -221,7 +224,8 @@ class AggServer::Impl {
     return false;
   }
 
-  void serve(const std::shared_ptr<AggConn>& conn) {
+  void serve(const std::shared_ptr<AggConn>& conn)
+      SCD_EXCLUDES(state_.conns_mutex) {
     net::FrameReader reader(config_.max_payload_bytes);
     std::vector<std::uint8_t> buf(64 * 1024);
     std::optional<std::uint64_t> node_id;
@@ -246,7 +250,12 @@ class AggServer::Impl {
       if (agg_metrics_) agg_metrics_->rejects.inc();
       if (net_metrics_) net_metrics_->frame_rejects.inc();
     }
-    conn->sock.close();
+    {
+      // Under the lock stop() shuts connections down with, so the fd is
+      // never released while stop() still uses it.
+      const common::MutexLock lock(state_.conns_mutex);
+      conn->sock.close();
+    }
     if (node_id) {
       // mo: gauge bookkeeping, matching the fetch_add in handle_frame.
       const std::size_t live =

@@ -13,7 +13,6 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/timer.h"
 #include "core/interval_cutter.h"
 #include "detect/detection.h"
 #include "detect/provenance.h"
@@ -22,7 +21,6 @@
 #include "hash/cw_hash.h"
 #include "hash/tabulation_hash.h"
 #include "obs/pipeline_metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
@@ -149,7 +147,10 @@ namespace {
 /// v3: recovery counters (recovery_candidates, keys_recovered) join the
 /// stats block, and invertible-family signals carry their candidate/vote
 /// state after the registers.
-constexpr std::uint64_t kEngineStateVersion = 3;
+/// v4: no wall-clock fields (the stats block's stage budget and a deferred
+/// report's stage timings are gone), so identical runs write identical
+/// bytes.
+constexpr std::uint64_t kEngineStateVersion = 4;
 /// Trailing sentinel: catches a reader/writer field-order drift that happens
 /// to stay inside the buffer.
 constexpr std::uint64_t kEngineStateSentinel = 0x5cdc0de5e17a11edULL;
@@ -347,10 +348,6 @@ void write_report(ByteWriter& out, const IntervalReport& r) {
     out.f64(a.error);
     out.f64(a.threshold_abs);
   }
-  out.f64(r.timings.close_s);
-  out.f64(r.timings.forecast_s);
-  out.f64(r.timings.estimate_f2_s);
-  out.f64(r.timings.key_replay_s);
 }
 
 [[nodiscard]] IntervalReport read_report(ByteReader& in) {
@@ -374,10 +371,6 @@ void write_report(ByteWriter& out, const IntervalReport& r) {
     a.threshold_abs = in.f64();
     r.alarms.push_back(a);
   }
-  r.timings.close_s = in.f64();
-  r.timings.forecast_s = in.f64();
-  r.timings.estimate_f2_s = in.f64();
-  r.timings.key_replay_s = in.f64();
   return r;
 }
 
@@ -446,16 +439,14 @@ class Engine final : public EngineBase {
         cutter_(config.randomize_intervals ? draw_interval_length()
                                            : config.interval_s) {
     staged_.reserve(kUpdateBlock);
-#if SCD_OBS_ENABLED
-    if (config_.metrics) obs_ = &obs::PipelineInstruments::global();
-#endif
+    if (SCD_OBS_ENABLED && config_.metrics) {
+      obs_ = &obs::PipelineInstruments::global();
+    }
     // The single place sketch memory is accounted (the table never resizes).
     stats_.sketch_bytes = observed_.table_bytes();
-#if SCD_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->sketch_bytes.set(static_cast<double>(stats_.sketch_bytes));
     }
-#endif
     rebuild_runner();
   }
 
@@ -607,13 +598,6 @@ class Engine final : public EngineBase {
     out.u64(stats_.keys_recovered);       // v3
     out.u64(stats_.hysteresis_suppressed);
     out.u64(cutter_.out_of_order());
-    out.f64(stats_.update_seconds);
-    out.u64(stats_.update_samples);
-    out.f64(stats_.close_seconds);
-    out.f64(stats_.forecast_seconds);
-    out.f64(stats_.estimate_f2_seconds);
-    out.f64(stats_.key_replay_seconds);
-    out.f64(stats_.refit_seconds);
     // Hysteresis streaks, sorted by key: the map's iteration order is not
     // deterministic, the byte stream must be.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> streaks;
@@ -684,13 +668,6 @@ class Engine final : public EngineBase {
     stats_.keys_recovered = in.u64();       // v3
     stats_.hysteresis_suppressed = in.u64();
     cutter_.restore(started, start_s, length_s, high_water_s, in.u64());
-    stats_.update_seconds = in.f64();
-    stats_.update_samples = in.u64();
-    stats_.close_seconds = in.f64();
-    stats_.forecast_seconds = in.f64();
-    stats_.estimate_f2_seconds = in.f64();
-    stats_.key_replay_seconds = in.f64();
-    stats_.refit_seconds = in.f64();
     stats_.sketch_bytes = observed_.table_bytes();
     alarm_streaks_.clear();
     const std::uint64_t streaks = in.u64();
@@ -754,25 +731,27 @@ class Engine final : public EngineBase {
                       4.0 * config_.interval_s);
   }
 
-  /// Applies the staged records to the observed sketch, timed as one
-  /// sketch_update stage sample when metrics are on.
+  /// Runs `fn` as one timed `stage` and returns its result.
+  template <typename Fn>
+  auto timed(obs::Stage stage, Fn&& fn) {
+    const obs::StageTimer timer = obs::time_stage(obs_, stage);
+    return fn();
+  }
+
+  /// Applies the staged records to the observed sketch as one sketch_update
+  /// stage.
   void apply_staged() {
     if (staged_.empty()) return;
-    if (obs_ != nullptr) {
-      obs::ScopedTimer timer(&obs_->stage_sketch_update,
-                             &stats_.update_seconds);
-      observed_.update_batch(staged_);
-      stats_.update_samples += staged_.size();
-    } else {
-      observed_.update_batch(staged_);
-    }
+    const obs::StageTimer timer =
+        obs::time_stage(obs_, obs::Stage::kSketchUpdate, staged_.size());
+    observed_.update_batch(staged_);
     staged_.clear();
   }
 
   void close_interval() {
     apply_staged();  // timed as sketch_update, not as part of the close
-    SCD_TRACE_SPAN_ARG("interval_close", "core", records_in_interval_);
-    const common::Stopwatch close_watch;
+    obs::StageTimer close_timer = obs::time_stage(
+        obs_, obs::Stage::kIntervalClose, records_in_interval_);
     const double len_s = cutter_.length_s();
     IntervalReport report;
     report.index = interval_index_;
@@ -791,22 +770,12 @@ class Engine final : public EngineBase {
       if (history_.size() > config_.refit_window) history_.pop_front();
     }
 
-#if SCD_OBS_ENABLED
     if (obs_ != nullptr) {
       obs_->records.inc(records_in_interval_);  // batched from add()
       obs_->replay_buffer_keys.set(static_cast<double>(keys_.size()));
     }
-    std::optional<typename forecast::ForecastRunner<Sketch>::Step> step;
-    {
-      obs::ScopedTimer timer(obs_ != nullptr ? &obs_->stage_forecast : nullptr,
-                             &report.timings.forecast_s);
-      SCD_TRACE_SPAN("forecast_step", "core");
-      step = runner_->step(observed_);
-    }
-    stats_.forecast_seconds += report.timings.forecast_s;
-#else
-    const auto step = runner_->step(observed_);
-#endif
+    auto step = timed(obs::Stage::kForecast,
+                      [this] { return runner_->step(observed_); });
 
     if (config_.replay == KeyReplayMode::kNextInterval) {
       // This interval's keys detect the *previous* interval's changes.
@@ -816,25 +785,25 @@ class Engine final : public EngineBase {
       if (step.has_value()) {
         Pending p{std::move(step->error), std::move(step->forecast), 0.0,
                   std::move(report)};
-        p.est_f2 = timed_estimate_f2(p.error, p.report.timings);
+        p.est_f2 = timed(obs::Stage::kEstimateF2,
+                         [&p] { return p.error.estimate_f2(); });
         p.report.detection_ran = true;
-        p.report.timings.close_s = close_watch.seconds();
-        mark_detection_ran();
+        if (obs_ != nullptr) obs_->detections.inc();
         pending_.emplace(std::move(p));
       } else {
-        report.timings.close_s = close_watch.seconds();
         emit_(std::move(report));
       }
     } else {
       if (step.has_value()) {
         report.detection_ran = true;
-        mark_detection_ran();
-        const double est_f2 = timed_estimate_f2(step->error, report.timings);
+        if (obs_ != nullptr) obs_->detections.inc();
+        const double est_f2 = timed(obs::Stage::kEstimateF2, [&step] {
+          return step->error.estimate_f2();
+        });
         fill_detection(step->error, &step->forecast, est_f2,
                        std::vector<std::uint64_t>(keys_.begin(), keys_.end()),
                        report);
       }
-      report.timings.close_s = close_watch.seconds();
       emit_(std::move(report));
     }
 
@@ -846,15 +815,8 @@ class Engine final : public EngineBase {
     cutter_.advance(config_.randomize_intervals ? draw_interval_length()
                                                 : len_s);
     ++interval_index_;
-
-    const double close_s = close_watch.seconds();
-    stats_.close_seconds += close_s;
-#if SCD_OBS_ENABLED
-    if (obs_ != nullptr) {
-      obs_->intervals_closed.inc();
-      obs_->stage_interval_close.observe(close_s);
-    }
-#endif
+    if (obs_ != nullptr) obs_->intervals_closed.inc();
+    close_timer.stop();  // the re-fit is its own stage
 
     maybe_refit();
 
@@ -863,34 +825,6 @@ class Engine final : public EngineBase {
     // in exactly the state a restore reproduces. Checkpoint triggers hook
     // here so a snapshot can never straddle an interval.
     if (on_interval_close_) on_interval_close_(stats_.intervals_closed);
-  }
-
-  void mark_detection_ran() noexcept {
-#if SCD_OBS_ENABLED
-    if (obs_ != nullptr) obs_->detections.inc();
-#endif
-  }
-
-  /// ESTIMATEF2(S_e) under the estimate_f2 stage timer; the timing lands in
-  /// the report that will eventually carry this detection.
-  [[nodiscard]] double timed_estimate_f2(const Sketch& error,
-                                         StageTimings& timings) {
-    SCD_TRACE_SPAN("estimate_f2", "core");
-#if SCD_OBS_ENABLED
-    double elapsed = 0.0;
-    double est_f2 = 0.0;
-    {
-      obs::ScopedTimer timer(
-          obs_ != nullptr ? &obs_->stage_estimate_f2 : nullptr, &elapsed);
-      est_f2 = error.estimate_f2();
-    }
-    timings.estimate_f2_s += elapsed;
-    stats_.estimate_f2_seconds += elapsed;
-    return est_f2;
-#else
-    (void)timings;
-    return error.estimate_f2();
-#endif
   }
 
   void emit_pending(const std::vector<std::uint64_t>& keys) {
@@ -903,7 +837,6 @@ class Engine final : public EngineBase {
   void fill_detection(const Sketch& error, const Sketch* forecast,
                       double est_f2, const std::vector<std::uint64_t>& keys,
                       IntervalReport& report) {
-    SCD_TRACE_SPAN_ARG("detection_sweep", "core", keys.size());
     report.keys_checked = keys.size();
     report.estimated_error_f2 = est_f2;
     if constexpr (!kRecovers) stats_.keys_replayed += keys.size();
@@ -920,19 +853,14 @@ class Engine final : public EngineBase {
     }
     const double l2 = std::sqrt(anchor_f2);
     report.alarm_threshold = config_.threshold * l2;
-#if SCD_OBS_ENABLED
     if (obs_ != nullptr) {
       if constexpr (!kRecovers) obs_->keys_replayed.inc(keys.size());
       obs_->last_error_l2.set(std::sqrt(std::max(est_f2, 0.0)));
       obs_->last_alarm_threshold.set(report.alarm_threshold);
     }
-#endif
     if (l2 <= 0.0) return;  // degenerate error signal: nothing to flag
-#if SCD_OBS_ENABLED
-    obs::ScopedTimer replay_timer(
-        obs_ != nullptr ? &obs_->stage_key_replay : nullptr,
-        &report.timings.key_replay_s);
-#endif
+    const obs::StageTimer replay_timer =
+        obs::time_stage(obs_, obs::Stage::kKeyReplay, keys.size());
     std::vector<detect::KeyError> ranked;
     if constexpr (kRecovers) {
       // Replay-free path: read the changed keys straight out of the error
@@ -951,13 +879,11 @@ class Engine final : public EngineBase {
       for (const sketch::RecoveredHeavyKey& r : recovered) {
         ranked.push_back(detect::KeyError{r.key, r.value});
       }
-#if SCD_OBS_ENABLED
       if (obs_ != nullptr) {
         obs_->recovery_candidates.inc(swept);
         obs_->recovery_keys.inc(recovered.size());
         obs_->recovery_last_keys.set(static_cast<double>(recovered.size()));
       }
-#endif
     } else {
       ranked = detect::rank_by_abs_error(
           keys, [&error](std::uint64_t key) { return error.estimate(key); });
@@ -979,9 +905,7 @@ class Engine final : public EngineBase {
       }
       const std::size_t suppressed = flagged.size() - persistent.size();
       stats_.hysteresis_suppressed += suppressed;
-#if SCD_OBS_ENABLED
       if (obs_ != nullptr) obs_->hysteresis_suppressed.inc(suppressed);
-#endif
       alarm_streaks_ = std::move(streaks);  // keys not flagged reset to 0
       flagged = persistent;
     }
@@ -994,15 +918,11 @@ class Engine final : public EngineBase {
     if (on_provenance_ && forecast != nullptr) {
       emit_provenance(error, *forecast, est_f2, report);
     }
-#if SCD_OBS_ENABLED
-    replay_timer.stop();
-    stats_.key_replay_seconds += report.timings.key_replay_s;
     if (obs_ != nullptr) {
       (config_.criterion == DetectionCriterion::kTopN ? obs_->alarms_topn
                                                       : obs_->alarms_threshold)
           .inc(report.alarms.size());
     }
-#endif
   }
 
   /// One provenance record per alarm: per-row evidence re-read from the
@@ -1045,13 +965,9 @@ class Engine final : public EngineBase {
     if (config_.refit_every == 0 || interval_index_ == 0) return;
     if (interval_index_ % config_.refit_every != 0) return;
     if (history_.size() < 4) return;  // not enough signal to fit
-    SCD_TRACE_SPAN("refit", "core");
-#if SCD_OBS_ENABLED
-    obs::ScopedTimer refit_timer(
-        obs_ != nullptr ? &obs_->stage_refit : nullptr,
-        &stats_.refit_seconds);
+    const obs::StageTimer refit_timer =
+        obs::time_stage(obs_, obs::Stage::kRefit);
     if (obs_ != nullptr) obs_->refits.inc();
-#endif
     const Sketch prototype(family_, config_.k);
     const gridsearch::Objective objective =
         [this, &prototype](const forecast::ModelConfig& candidate) {
@@ -1103,7 +1019,8 @@ class Engine final : public EngineBase {
   std::function<void(const detect::AlarmProvenance&)> on_provenance_;
   std::uint64_t fingerprint_ = 0;  // set with the provenance callback
   /// Shared process-wide instruments; null when config.metrics is false or
-  /// the library was built with SCD_OBS_ENABLED=0.
+  /// the library was built with SCD_OBS_ENABLED=0 (every counter site is
+  /// then one null test per interval, and every stage timer compiles away).
   obs::PipelineInstruments* obs_ = nullptr;
 };
 

@@ -125,17 +125,6 @@ struct PipelineConfig {
 [[nodiscard]] std::uint64_t config_fingerprint(
     const PipelineConfig& config) noexcept;
 
-/// Wall-clock breakdown of one interval close, in seconds. forecast_s,
-/// estimate_f2_s and key_replay_s are sub-spans of close_s; in kNextInterval
-/// replay mode the detection spans are measured when the deferred detection
-/// actually runs (one interval later).
-struct StageTimings {
-  double close_s = 0.0;        // whole close_interval (excl. deferred parts)
-  double forecast_s = 0.0;     // forecasting-module step (S_f, S_e)
-  double estimate_f2_s = 0.0;  // ESTIMATEF2(S_e) + threshold computation
-  double key_replay_s = 0.0;   // per-key ESTIMATE + ranking + hysteresis
-};
-
 /// Lifetime counters for capacity planning and monitoring.
 struct PipelineStats {
   std::uint64_t records = 0;        // items fed
@@ -156,18 +145,6 @@ struct PipelineStats {
   /// a past one) and counted here rather than rejected — one late NetFlow
   /// export must not abort a live feed.
   std::uint64_t out_of_order_records = 0;
-
-  // Cumulative stage budget (seconds). update_seconds is the time spent
-  // applying staged add() records to the observed sketch, measured only
-  // when metrics are on; update_samples counts the records it covers.
-  // Scale by records / update_samples for a whole-stream estimate.
-  double update_seconds = 0.0;
-  std::uint64_t update_samples = 0;
-  double close_seconds = 0.0;
-  double forecast_seconds = 0.0;
-  double estimate_f2_seconds = 0.0;
-  double key_replay_seconds = 0.0;
-  double refit_seconds = 0.0;
 };
 
 /// One pre-aggregated interval produced by an external ingestion front-end
@@ -215,7 +192,6 @@ struct IntervalReport {
   double estimated_error_f2 = 0.0;  // ESTIMATEF2(S_e(t))
   double alarm_threshold = 0.0;     // T_A
   std::vector<detect::Alarm> alarms;  // sorted by |error| descending
-  StageTimings timings;             // where this interval's time went
 };
 
 class ChangeDetectionPipeline {

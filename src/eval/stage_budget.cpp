@@ -1,5 +1,6 @@
 #include "eval/stage_budget.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -7,67 +8,57 @@ namespace scd::eval {
 
 namespace {
 
-std::string row(const char* stage, double total_s, double unit_s,
-                const char* unit_name, double share) {
+std::string row(const std::string& label, double total_s, std::uint64_t units,
+                const char* unit_name, double wall_s) {
+  const double unit_s =
+      units == 0 ? 0.0 : total_s / static_cast<double>(units);
+  const double share = wall_s > 0.0 ? total_s / wall_s : 0.0;
   char buf[160];
-  std::snprintf(buf, sizeof(buf), "  %-14s %10.4f s  %10.3f us/%-8s %5.1f%%\n",
-                stage, total_s, unit_s * 1e6, unit_name, share * 100.0);
+  std::snprintf(buf, sizeof(buf), "  %-16s %10.4f s  %10.3f us/%-8s %5.1f%%\n",
+                label.c_str(), total_s, unit_s * 1e6, unit_name,
+                share * 100.0);
   return buf;
 }
 
 }  // namespace
 
-std::string format_stage_budget(const core::PipelineStats& stats) {
-  // update_seconds covers only the timed records; scale up to the whole
-  // stream for the budget view.
-  const double update_est =
-      stats.update_samples == 0
-          ? 0.0
-          : stats.update_seconds *
-                (static_cast<double>(stats.records) /
-                 static_cast<double>(stats.update_samples));
-  const double accounted =
-      update_est + stats.close_seconds + stats.refit_seconds;
+std::string format_stage_budget(const obs::PipelineInstruments& instruments,
+                                const core::PipelineStats& stats,
+                                double wall_s) {
+  using obs::Stage;
+  const auto total = [&instruments](Stage s) {
+    return instruments.stage(s).sum();
+  };
+  const double accounted = total(Stage::kSketchUpdate) +
+                           total(Stage::kIntervalClose) + total(Stage::kRefit);
   if (accounted <= 0.0) {
     return "stage budget: no timing data (pipeline ran with metrics "
            "disabled or saw no records)\n";
   }
-  const double per_interval =
-      stats.intervals_closed == 0 ? 0.0
-                                  : 1.0 / static_cast<double>(
-                                              stats.intervals_closed);
-  std::string out = "stage budget (accounted pipeline time):\n";
-  out += row("sketch_update*", update_est,
-             stats.records == 0 ? 0.0
-                                : update_est / static_cast<double>(
-                                                   stats.records),
-             "record", update_est / accounted);
-  out += row("interval_close", stats.close_seconds,
-             stats.close_seconds * per_interval, "interval",
-             stats.close_seconds / accounted);
-  out += row("  forecast", stats.forecast_seconds,
-             stats.forecast_seconds * per_interval, "interval",
-             stats.forecast_seconds / accounted);
-  out += row("  estimate_f2", stats.estimate_f2_seconds,
-             stats.estimate_f2_seconds * per_interval, "interval",
-             stats.estimate_f2_seconds / accounted);
-  out += row("  key_replay", stats.key_replay_seconds,
-             stats.keys_replayed == 0
-                 ? 0.0
-                 : stats.key_replay_seconds /
-                       static_cast<double>(stats.keys_replayed),
-             "key", stats.key_replay_seconds / accounted);
-  out += row("refit", stats.refit_seconds,
-             stats.refits == 0
-                 ? 0.0
-                 : stats.refit_seconds / static_cast<double>(stats.refits),
-             "refit", stats.refit_seconds / accounted);
-  char tail[160];
-  std::snprintf(tail, sizeof(tail),
-                "  * extrapolated from %llu timed updates of %llu records\n",
-                static_cast<unsigned long long>(stats.update_samples),
-                static_cast<unsigned long long>(stats.records));
-  out += tail;
+  struct Row {
+    Stage stage;
+    bool nested;  // runs inside interval_close
+    std::uint64_t units;
+    const char* unit_name;
+  };
+  const Row rows[] = {
+      {Stage::kSketchUpdate, false, stats.records, "record"},
+      {Stage::kIntervalClose, false, stats.intervals_closed, "interval"},
+      {Stage::kForecast, true, stats.intervals_closed, "interval"},
+      {Stage::kEstimateF2, true, stats.intervals_closed, "interval"},
+      {Stage::kKeyReplay, true, stats.keys_replayed, "key"},
+      {Stage::kRefit, false, stats.refits, "refit"},
+  };
+  char head[96];
+  std::snprintf(head, sizeof(head), "stage budget (wall time %.4f s):\n",
+                wall_s);
+  std::string out = head;
+  for (const Row& r : rows) {
+    out += row(std::string(r.nested ? "  " : "") + obs::stage_name(r.stage),
+               total(r.stage), r.units, r.unit_name, wall_s);
+  }
+  out += row("unaccounted", wall_s - accounted, stats.records, "record",
+             wall_s);
   return out;
 }
 

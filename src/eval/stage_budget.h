@@ -1,20 +1,26 @@
-// Stage-budget table: renders the timing breakdown carried by
-// PipelineStats as a human-readable report, so benches and CLIs can show
-// where an experiment's wall-clock went (sketch update vs forecast vs
-// ESTIMATEF2 vs key replay vs re-fit) without touching the obs registry.
+// Stage-budget table: renders the pipeline's stage histograms
+// (scd_pipeline_stage_seconds) against the caller's wall time, so benches
+// and CLIs can show where an experiment's time went (sketch update vs
+// forecast vs ESTIMATEF2 vs key replay vs re-fit) and how much of it no
+// stage covers.
 #pragma once
 
 #include <string>
 
 #include "core/pipeline.h"
+#include "obs/pipeline_metrics.h"
 
 namespace scd::eval {
 
-/// One row per stage: total seconds, per-interval (or per-record) unit
-/// cost, and share of the accounted time. The sketch-update row is
-/// extrapolated from the 1/64-sampled measurements (and flagged as such).
-/// Returns a note instead of a table when the pipeline ran with metrics
-/// disabled (all timing fields zero).
-[[nodiscard]] std::string format_stage_budget(const core::PipelineStats& stats);
+/// One row per stage of `instruments`: total seconds, unit cost and share of
+/// `wall_s`, the caller's wall time for the run. `stats` supplies only the
+/// unit counts (records, intervals, replayed keys, re-fits). forecast,
+/// estimate_f2 and key_replay run inside interval_close and are indented
+/// under it; the last row, unaccounted, is `wall_s` minus sketch_update,
+/// interval_close and refit. Returns a note instead of a table when no
+/// stage was timed (metrics disabled, or no records).
+[[nodiscard]] std::string format_stage_budget(
+    const obs::PipelineInstruments& instruments,
+    const core::PipelineStats& stats, double wall_s);
 
 }  // namespace scd::eval

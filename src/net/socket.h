@@ -81,12 +81,18 @@ class ListenSocket {
                                                int backlog = 16);
 
   /// Blocks until a connection arrives. Throws WireError(kIo) on failure —
-  /// including when the listening socket is close()d from another thread,
+  /// including when the listening socket is shutdown() from another thread,
   /// which is the accept loop's shutdown path.
   [[nodiscard]] Socket accept();
 
   /// The bound port (resolves port 0 to the kernel-assigned ephemeral port).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+
+  /// Wakes a thread blocked in accept() without releasing the fd. Like
+  /// Socket::shutdown_both(), this is the only safe way to interrupt another
+  /// thread's accept(): close() would free the fd number for reuse while
+  /// accept() still holds it. Close only after that thread has finished.
+  void shutdown() noexcept;
 
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
   void close() noexcept;

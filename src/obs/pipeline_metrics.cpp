@@ -1,23 +1,13 @@
 #include "obs/pipeline_metrics.h"
 
+#include <cstddef>
+
 #include "obs/metrics.h"
 
 namespace scd::obs {
 
-namespace {
-
-Histogram& stage_histogram(MetricsRegistry& registry, const char* stage) {
-  return registry.histogram(
-      "scd_pipeline_stage_seconds",
-      "Latency of one pipeline stage execution, in seconds (see "
-      "docs/OBSERVABILITY.md for the stage-to-paper mapping)",
-      Histogram::default_latency_buckets(), {{"stage", stage}});
-}
-
-}  // namespace
-
 PipelineInstruments PipelineInstruments::create(MetricsRegistry& registry) {
-  return PipelineInstruments{
+  PipelineInstruments out{
       registry.counter("scd_pipeline_records_total",
                        "Flow records fed into add_record/add"),
       registry.counter("scd_pipeline_intervals_closed_total",
@@ -57,13 +47,16 @@ PipelineInstruments PipelineInstruments::create(MetricsRegistry& registry) {
                      "Absolute alarm threshold T_A of the latest detection"),
       registry.gauge("scd_pipeline_last_error_l2",
                      "Estimated L2 norm of the latest error sketch"),
-      stage_histogram(registry, "sketch_update"),
-      stage_histogram(registry, "interval_close"),
-      stage_histogram(registry, "forecast"),
-      stage_histogram(registry, "estimate_f2"),
-      stage_histogram(registry, "key_replay"),
-      stage_histogram(registry, "refit"),
+      {},
   };
+  for (std::size_t i = 0; i < kStageNames.size(); ++i) {
+    out.stage_seconds[i] = &registry.histogram(
+        "scd_pipeline_stage_seconds",
+        "Latency of one pipeline stage execution, in seconds (see "
+        "docs/OBSERVABILITY.md for the stage-to-paper mapping)",
+        Histogram::default_latency_buckets(), {{"stage", kStageNames[i]}});
+  }
+  return out;
 }
 
 PipelineInstruments& PipelineInstruments::global() {

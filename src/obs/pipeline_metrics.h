@@ -7,18 +7,37 @@
 // lookups, no allocation in add_record.
 //
 // Stage histograms form one family, scd_pipeline_stage_seconds{stage=...},
-// mapping to the paper's module structure (§2.2):
-//   sketch_update  — UPDATE(S_o, a, u) of one staged block of records
-//   interval_close — everything done when an interval boundary passes
-//   forecast       — the forecasting module's step (S_f, S_e construction)
-//   estimate_f2    — ESTIMATEF2(S_e) + threshold computation (T_A)
-//   key_replay     — ESTIMATE per candidate key + ranking + hysteresis
-//   refit          — §6 online grid-search re-fit
+// one member per Stage below (the paper's module structure, §2.2).
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+
 #include "obs/metrics.h"
+#include "obs/stage_timer.h"
 
 namespace scd::obs {
+
+/// The pipeline's timed stages. Each name is at once the
+/// scd_pipeline_stage_seconds{stage=...} label, the trace span name
+/// (category "core") and the stage-budget row.
+enum class Stage : std::uint8_t {
+  kSketchUpdate,   // UPDATE(S_o, a, u) of one staged block of records
+  kIntervalClose,  // everything done when an interval boundary passes
+  kForecast,       // the forecasting module's step (S_f, S_e construction)
+  kEstimateF2,     // ESTIMATEF2(S_e)
+  kKeyReplay,      // ESTIMATE per candidate key + ranking + hysteresis
+  kRefit,          // §6 online grid-search re-fit
+};
+
+inline constexpr std::array<const char*, 6> kStageNames = {
+    "sketch_update", "interval_close", "forecast",
+    "estimate_f2",   "key_replay",     "refit"};
+
+[[nodiscard]] constexpr const char* stage_name(Stage stage) noexcept {
+  return kStageNames[static_cast<std::size_t>(stage)];
+}
 
 struct PipelineInstruments {
   Counter& records;                // scd_pipeline_records_total
@@ -39,12 +58,12 @@ struct PipelineInstruments {
   Gauge& last_alarm_threshold;     // T_A of the latest detection
   Gauge& last_error_l2;            // sqrt(max(ESTIMATEF2, 0)) of the latest
 
-  Histogram& stage_sketch_update;
-  Histogram& stage_interval_close;
-  Histogram& stage_forecast;
-  Histogram& stage_estimate_f2;
-  Histogram& stage_key_replay;
-  Histogram& stage_refit;
+  /// scd_pipeline_stage_seconds, indexed by Stage.
+  std::array<Histogram*, kStageNames.size()> stage_seconds;
+
+  [[nodiscard]] Histogram& stage(Stage s) const noexcept {
+    return *stage_seconds[static_cast<std::size_t>(s)];
+  }
 
   /// The shared bundle, registered against MetricsRegistry::global() on
   /// first call (thread-safe via static-local initialization).
@@ -54,5 +73,15 @@ struct PipelineInstruments {
   /// registries to assert on exposition without cross-test interference).
   [[nodiscard]] static PipelineInstruments create(MetricsRegistry& registry);
 };
+
+/// Times one pipeline stage: feeds the stage's histogram in `instruments`
+/// (skipped when null) and a "core" trace span of the stage's name.
+[[nodiscard]] inline StageTimer time_stage(PipelineInstruments* instruments,
+                                           Stage stage,
+                                           std::uint64_t arg = 0) noexcept {
+  return StageTimer(
+      instruments != nullptr ? &instruments->stage(stage) : nullptr,
+      stage_name(stage), "core", arg);
+}
 
 }  // namespace scd::obs

@@ -143,6 +143,86 @@ TEST(SaveState, ThrowsMidInterval) {
   EXPECT_THROW((void)pipeline.save_state(), std::logic_error);
 }
 
+/// save_state() bytes at the close of interval `at`, from a pipeline of
+/// type `Pipeline` fed the deterministic stream. Deferred detection and
+/// metrics are on, so every part of the state that could carry a
+/// measurement is exercised.
+template <typename Pipeline, typename... Extra>
+std::vector<std::uint8_t> state_at_close(std::size_t at, Extra... extra) {
+  core::PipelineConfig config = small_config();
+  config.replay = core::KeyReplayMode::kNextInterval;
+  config.metrics = true;
+  Pipeline pipeline(config, extra...);
+  std::vector<std::uint8_t> state;
+  pipeline.set_interval_close_callback([&](std::size_t closed) {
+    if (closed == at) state = pipeline.save_state();
+  });
+  for (double t = 1.0; t < 120.0; t += 10.0) {
+    for (std::uint64_t key = 0; key < 40; ++key) {
+      pipeline.add(key, 100.0 + static_cast<double>(key % 7), t);
+    }
+    if (t > 50.0 && t < 60.0) pipeline.add(7, 50000.0, t + 1.0);
+  }
+  pipeline.flush();
+  return state;
+}
+
+TEST(SaveState, IdenticalRunsWriteIdenticalBytes) {
+  // No wall-clock measurement may leak into engine state: two identical
+  // runs snapshot at the same boundary must produce the same bytes.
+  const auto serial = state_at_close<core::ChangeDetectionPipeline>(6);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(serial, state_at_close<core::ChangeDetectionPipeline>(6));
+
+  ingest::ParallelConfig parallel;
+  parallel.workers = 2;
+  const auto sharded = state_at_close<ingest::ParallelPipeline>(6, parallel);
+  ASSERT_FALSE(sharded.empty());
+  EXPECT_EQ(sharded, state_at_close<ingest::ParallelPipeline>(6, parallel));
+}
+
+/// A valid snapshot with its leading engine-state version word set to 3.
+std::vector<std::uint8_t> as_v3(std::vector<std::uint8_t> state) {
+  for (std::size_t i = 0; i < 8; ++i) state[i] = i == 0 ? 3 : 0;
+  return state;
+}
+
+TEST(SaveState, V3StreamIsBadVersion) {
+  core::ChangeDetectionPipeline source(small_config());
+  feed_stream(source, 0.0, 45.0);
+  source.flush();
+  core::ChangeDetectionPipeline pipeline(small_config());
+  try {
+    pipeline.restore_state(as_v3(source.save_state()));
+    FAIL() << "expected SerializeError";
+  } catch (const sketch::SerializeError& e) {
+    EXPECT_EQ(e.kind(), sketch::SerializeErrorKind::kBadVersion);
+  }
+}
+
+TEST(Recover, SkipsV3CheckpointForAnOlderV4One) {
+  const core::PipelineConfig config = small_config();
+  const auto dir = fresh_dir("ckpt_v3_skip");
+  core::ChangeDetectionPipeline source(config);
+  feed_stream(source, 0.0, 45.0);
+  source.flush();
+  const std::vector<std::uint8_t> state = source.save_state();
+  {
+    CheckpointWriterOptions options;
+    options.directory = dir;
+    options.metrics = false;
+    CheckpointWriter writer(options, config);
+    (void)writer.write(PayloadKind::kSerial, 4, state);
+    (void)writer.write(PayloadKind::kSerial, 5, as_v3(state));  // newest
+  }
+  core::ChangeDetectionPipeline resumed(config);
+  const RecoverResult result = recover(dir, resumed);
+  ASSERT_TRUE(result.restored);
+  EXPECT_EQ(result.skipped, 1u);
+  EXPECT_EQ(result.interval_index, 4u);
+  EXPECT_EQ(resumed.save_state(), state);
+}
+
 TEST(Recover, EmptyDirectoryLeavesPipelineUntouched) {
   core::ChangeDetectionPipeline pipeline(small_config());
   const RecoverResult result = recover(fresh_dir("ckpt_empty"), pipeline);

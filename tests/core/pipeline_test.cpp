@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <string_view>
 #include <utility>
 
 #include "common/random.h"
+#include "obs/pipeline_metrics.h"
+#include "obs/trace.h"
 #include "sketch/kary_sketch.h"
 
 namespace scd::core {
@@ -652,50 +657,112 @@ TEST(Pipeline, SmoothedBaselineComposesWithRandomizedIntervals) {
   EXPECT_GE(pipeline.reports().size(), 5u);  // runs without issue
 }
 
-TEST(Pipeline, ReportsCarryStageTimings) {
-  ChangeDetectionPipeline pipeline(base_config());
-  feed_stream(pipeline, 6);
-  for (const auto& report : pipeline.reports()) {
-    EXPECT_GT(report.timings.close_s, 0.0) << report.index;
-    EXPECT_GE(report.timings.forecast_s, 0.0);
-    EXPECT_LE(report.timings.forecast_s, report.timings.close_s);
-    if (report.detection_ran) {
-      EXPECT_GT(report.timings.estimate_f2_s, 0.0) << report.index;
-      EXPECT_GT(report.timings.key_replay_s, 0.0) << report.index;
-    } else {
-      EXPECT_EQ(report.timings.key_replay_s, 0.0) << report.index;
-    }
+/// Count and sum of one stage histogram in the process-wide bundle every
+/// metrics-on pipeline feeds. Other tests may share the process, so tests
+/// assert on what one run adds.
+struct StageSample {
+  std::uint64_t count = 0;
+  double sum = 0.0;
+};
+
+using StageSamples = std::array<StageSample, obs::kStageNames.size()>;
+
+StageSamples sample_stages() {
+  StageSamples out;
+  const obs::PipelineInstruments& instruments =
+      obs::PipelineInstruments::global();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = {instruments.stage_seconds[i]->count(),
+              instruments.stage_seconds[i]->sum()};
   }
+  return out;
+}
+
+StageSample added(const StageSamples& before, const StageSamples& after,
+                  obs::Stage stage) {
+  const auto i = static_cast<std::size_t>(stage);
+  return {after[i].count - before[i].count, after[i].sum - before[i].sum};
 }
 
 TEST(Pipeline, StatsCarryStageBudget) {
+  const StageSamples before = sample_stages();
   ChangeDetectionPipeline pipeline(base_config());
   feed_stream(pipeline, 6);
-  const auto stats = pipeline.stats();
-  EXPECT_GT(stats.close_seconds, 0.0);
-  EXPECT_GT(stats.forecast_seconds, 0.0);
-  EXPECT_GT(stats.estimate_f2_seconds, 0.0);
-  EXPECT_GT(stats.key_replay_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(stats.refit_seconds, 0.0);  // no re-fitting configured
-  // Every staged block is stopwatch-timed, so every record is a sample.
-  EXPECT_GE(stats.update_samples, 4u);
-  EXPECT_LE(stats.update_samples, stats.records);
-  EXPECT_GT(stats.update_seconds, 0.0);
+  const StageSamples after = sample_stages();
+  const auto stage = [&](obs::Stage s) { return added(before, after, s); };
+  // Each interval's 50 records are one staged block, drained at its close.
+  EXPECT_EQ(stage(obs::Stage::kSketchUpdate).count, 6u);
+  EXPECT_GT(stage(obs::Stage::kSketchUpdate).sum, 0.0);
+  EXPECT_EQ(stage(obs::Stage::kIntervalClose).count, 6u);
+  EXPECT_GT(stage(obs::Stage::kIntervalClose).sum, 0.0);
+  EXPECT_EQ(stage(obs::Stage::kForecast).count, 6u);
+  EXPECT_GT(stage(obs::Stage::kForecast).sum, 0.0);
+  // Detection runs on every post-warm-up interval.
+  EXPECT_EQ(stage(obs::Stage::kEstimateF2).count, 5u);
+  EXPECT_GT(stage(obs::Stage::kEstimateF2).sum, 0.0);
+  EXPECT_EQ(stage(obs::Stage::kKeyReplay).count, 5u);
+  EXPECT_GT(stage(obs::Stage::kKeyReplay).sum, 0.0);
+  EXPECT_EQ(stage(obs::Stage::kRefit).count, 0u);  // no re-fitting configured
+  // Sub-stages run inside the close.
+  EXPECT_LE(stage(obs::Stage::kForecast).sum,
+            stage(obs::Stage::kIntervalClose).sum);
   // Detection ran on every post-warm-up interval over 50 keys each.
-  EXPECT_EQ(stats.keys_replayed, 5u * 50u);
+  EXPECT_EQ(pipeline.stats().keys_replayed, 5u * 50u);
 }
 
 TEST(Pipeline, MetricsDisabledSkipsTimingButKeepsCounters) {
   auto config = base_config();
   config.metrics = false;
+  const StageSamples before = sample_stages();
   ChangeDetectionPipeline pipeline(config);
   feed_stream(pipeline, 4);
+  const StageSamples after = sample_stages();
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    const StageSample d = added(before, after, static_cast<obs::Stage>(i));
+    EXPECT_EQ(d.count, 0u) << obs::kStageNames[i];  // timing is metrics-gated
+    EXPECT_EQ(d.sum, 0.0) << obs::kStageNames[i];
+  }
   const auto stats = pipeline.stats();
   EXPECT_EQ(stats.records, 4u * 50u);
   EXPECT_EQ(stats.intervals_closed, 4u);
-  EXPECT_EQ(stats.update_samples, 0u);  // timing is metrics-gated
-  EXPECT_DOUBLE_EQ(stats.update_seconds, 0.0);
-  EXPECT_GT(stats.close_seconds, 0.0);  // per-pipeline budget always on
+}
+
+TEST(Pipeline, StageSpansCarryTheHistogramSamples) {
+  // With tracing on, each stage's span and histogram sample come from one
+  // measurement: per stage, as many spans as samples, and the same total.
+  auto config = base_config();
+  config.refit_every = 4;
+  config.refit_window = 8;
+  obs::TraceController& trace = obs::TraceController::global();
+  const std::size_t events_before = trace.snapshot().events.size();
+  const StageSamples before = sample_stages();
+  trace.set_enabled(true);
+  {
+    ChangeDetectionPipeline pipeline(config);
+    feed_stream(pipeline, 10);
+  }
+  trace.set_enabled(false);
+  const StageSamples after = sample_stages();
+  const obs::TraceController::Snapshot snap = trace.snapshot();
+  ASSERT_EQ(snap.dropped, 0u);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    std::uint64_t spans = 0;
+    std::uint64_t dur_ns = 0;
+    for (std::size_t e = events_before; e < snap.events.size(); ++e) {
+      const obs::TraceEvent& event = snap.events[e];
+      if (std::string_view(event.category) != "core" ||
+          std::string_view(event.name) != obs::kStageNames[i]) {
+        continue;
+      }
+      ++spans;
+      dur_ns += event.dur_ns;
+    }
+    const StageSample d = added(before, after, static_cast<obs::Stage>(i));
+    EXPECT_GT(spans, 0u) << obs::kStageNames[i];
+    EXPECT_EQ(spans, d.count) << obs::kStageNames[i];
+    EXPECT_NEAR(static_cast<double>(dur_ns) * 1e-9, d.sum, 1e-12)
+        << obs::kStageNames[i];
+  }
 }
 
 TEST(Pipeline, StatsCountHysteresisSuppressions) {
@@ -726,11 +793,15 @@ TEST(Pipeline, RefitTimeIsAccounted) {
   auto config = base_config();
   config.refit_every = 4;
   config.refit_window = 8;
+  const StageSamples before = sample_stages();
   ChangeDetectionPipeline pipeline(config);
   feed_stream(pipeline, 10);
+  const StageSample refit =
+      added(before, sample_stages(), obs::Stage::kRefit);
   const auto stats = pipeline.stats();
   ASSERT_GE(stats.refits, 1u);
-  EXPECT_GT(stats.refit_seconds, 0.0);
+  EXPECT_EQ(refit.count, stats.refits);
+  EXPECT_GT(refit.sum, 0.0);
 }
 
 TEST(Pipeline, MoveSemantics) {

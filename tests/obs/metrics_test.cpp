@@ -7,7 +7,8 @@
 #include <thread>
 #include <vector>
 
-#include "obs/scoped_timer.h"
+#include "obs/stage_timer.h"
+#include "obs/trace.h"
 
 namespace scd::obs {
 namespace {
@@ -208,29 +209,63 @@ TEST(Concurrency, RegistrationRacesResolveToOneInstance) {
   EXPECT_EQ(seen[0]->value(), static_cast<std::uint64_t>(kThreads));
 }
 
-TEST(ScopedTimerTest, ObservesElapsedOnDestruction) {
+TEST(StageTimerTest, ObservesElapsedOnDestruction) {
   MetricsRegistry registry;
   Histogram& h =
       registry.histogram("t", "help", Histogram::default_latency_buckets());
-  double accumulator = 0.0;
+  TraceController trace;  // tracing off: the histogram is the only sink
   {
-    ScopedTimer timer(&h, &accumulator);
+    StageTimer timer(&h, "stage", "test", 0, &trace);
   }
   EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(accumulator, 0.0);
-  EXPECT_DOUBLE_EQ(h.sum(), accumulator);
+  EXPECT_GE(h.sum(), 0.0);
+  EXPECT_EQ(trace.snapshot().emitted, 0u);
 }
 
-TEST(ScopedTimerTest, StopIsIdempotentAndNullSinksAreSafe) {
+TEST(StageTimerTest, StopIsIdempotentAndNullSinksAreSafe) {
   MetricsRegistry registry;
   Histogram& h =
       registry.histogram("t", "help", Histogram::default_latency_buckets());
-  ScopedTimer timer(&h);
-  const double first = timer.stop();
-  EXPECT_DOUBLE_EQ(timer.stop(), first);  // second stop: no new observation
+  TraceController trace;
+  StageTimer timer(&h, "stage", "test", 0, &trace);
+  timer.stop();
+  const double first = h.sum();
+  timer.stop();  // second stop: no new observation
   EXPECT_EQ(h.count(), 1u);
-  ScopedTimer no_sinks(nullptr, nullptr);
-  EXPECT_GE(no_sinks.stop(), 0.0);
+  EXPECT_EQ(h.sum(), first);
+  StageTimer no_sinks(nullptr, "stage", "test", 0, &trace);
+  no_sinks.stop();
+  EXPECT_EQ(trace.snapshot().emitted, 0u);
+}
+
+TEST(StageTimerTest, SpanDurationEqualsTheHistogramSample) {
+  MetricsRegistry registry;
+  Histogram& h =
+      registry.histogram("t", "help", Histogram::default_latency_buckets());
+  TraceController trace;
+  trace.set_enabled(true);
+  {
+    StageTimer timer(&h, "stage", "test", 42, &trace);
+    volatile double sink = 0.0;
+    for (int i = 0; i < 1000; ++i) sink = sink + 1.0;
+  }
+  const TraceController::Snapshot snap = trace.snapshot();
+  ASSERT_EQ(snap.events.size(), 1u);
+  const TraceEvent& span = snap.events[0];
+  EXPECT_STREQ(span.name, "stage");
+  EXPECT_STREQ(span.category, "test");
+  EXPECT_EQ(span.arg, 42u);
+  ASSERT_EQ(h.count(), 1u);
+  // One clock reading pair feeds both sinks: the same duration, not two
+  // measurements that merely agree to within noise.
+  EXPECT_EQ(h.sum(), static_cast<double>(span.dur_ns) * 1e-9);
+}
+
+TEST(StageTimerTest, TracingAloneEmitsASpan) {
+  TraceController trace;
+  trace.set_enabled(true);
+  { StageTimer timer(nullptr, "stage", "test", 0, &trace); }
+  EXPECT_EQ(trace.snapshot().events.size(), 1u);
 }
 
 }  // namespace
