@@ -20,30 +20,22 @@
 //      than a geometry-dependent ideal;
 //   3. end-to-end ingestion records/s through ParallelPipeline (producer ->
 //      shard queue -> update_batch worker -> async epoch merge), at W=1 and
-//      W=4;
-//   4. the zero-copy mmap trace feed (eval/trace_mmap.h) against the
-//      queue-copy path (TraceReader -> ParallelPipeline W=1) on the same
-//      on-disk trace.
+//      W=4.
 //
 // Results are also written as BENCH_THROUGHPUT.json (override the path with
 // SCD_BENCH_JSON=...). SCD_BENCH_QUICK=1 shrinks every workload ~10x for CI
 // smoke runs; the JSON records which mode produced it.
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "common/strutil.h"
 #include "common/timer.h"
 #include "core/pipeline.h"
-#include "eval/trace_mmap.h"
 #include "ingest/parallel_pipeline.h"
-#include "traffic/flow_record.h"
-#include "traffic/trace_io.h"
 #include "simd/kernels.h"
 // The one sanctioned exception to the simd-isolation rule: this bench's job
 // is to measure the dispatched kernels AGAINST the scalar reference in one
@@ -290,53 +282,6 @@ int main() {
   std::printf("end-to-end (ParallelPipeline W=4): %.2f M records/s "
               "(%zu records in %.3f s)\n", e2e_w4_mrps, e2e_records, e2e_w4_s);
 
-  // --- 4. zero-copy mmap feed vs the queue-copy path -----------------------
-  // Same workload serialized as an on-disk .scdt trace, read back two ways:
-  // TraceReader's per-record ifstream pull into ParallelPipeline W=1 (one
-  // copy into the chunk staging, one through the BoundedQueue) versus
-  // MappedTrace + feed_trace (decode in place from the mapping into the
-  // serial pipeline, which stages records into batched UPDATE).
-  double queue_path_s = 0.0;
-  double mmap_path_s = 0.0;
-  {
-    common::Rng rng(17);
-    std::vector<traffic::FlowRecord> flows(e2e_records);
-    for (std::size_t i = 0; i < e2e_records; ++i) {
-      flows[i].timestamp_us = static_cast<std::uint64_t>(
-          static_cast<double>(i) / per_interval * 10.0 * 1e6);
-      flows[i].dst_ip = static_cast<std::uint32_t>(rng.next_below(1u << 20));
-      flows[i].bytes = static_cast<std::uint64_t>(rng.next_in(1, 1500));
-    }
-    const std::string trace_path =
-        (std::filesystem::temp_directory_path() / "scd_bench_ingest.scdt")
-            .string();
-    traffic::write_trace(trace_path, flows);
-    flows = {};  // the feeds below must not benefit from this copy
-    queue_path_s = best_seconds(quick ? 1 : 3, [&] {
-      ingest::ParallelConfig parallel;
-      parallel.workers = 1;
-      ingest::ParallelPipeline pipeline(config, parallel);
-      traffic::TraceReader reader(trace_path);
-      traffic::FlowRecord r;
-      while (reader.next(r)) pipeline.add_record(r);
-      pipeline.flush();
-    });
-    mmap_path_s = best_seconds(quick ? 1 : 3, [&] {
-      core::ChangeDetectionPipeline pipeline(config);
-      const eval::MappedTrace trace(trace_path);
-      eval::feed_trace(trace, pipeline);
-    });
-    std::filesystem::remove(trace_path);
-  }
-  const double queue_mrps =
-      static_cast<double>(e2e_records) / queue_path_s / 1e6;
-  const double mmap_mrps = static_cast<double>(e2e_records) / mmap_path_s / 1e6;
-  const double mmap_speedup = queue_path_s / mmap_path_s;
-  std::printf("trace feed, queue-copy path (TraceReader -> W=1): %.2f M "
-              "records/s\n", queue_mrps);
-  std::printf("trace feed, zero-copy mmap path (feed_trace):     %.2f M "
-              "records/s (%.2fx)\n", mmap_mrps, mmap_speedup);
-
   // --- checks + JSON -------------------------------------------------------
   bench::check(tables_equal,
                "batched UPDATE produced a bit-identical register table");
@@ -368,21 +313,6 @@ int main() {
     bench::check(speedup >= 1.0,
                  "batched UPDATE does not regress under scalar dispatch",
                  common::str_format("%.2fx", speedup));
-  }
-  // The zero-copy path removes the queue hop and the per-record syscall
-  // amortization entirely; anywhere it fails to win, the mmap feed is
-  // broken. Hard-gated only with >= 2 cores: on one core the queue path's
-  // producer and worker already run serialized, so the margin shrinks to
-  // scheduler noise (same auto-skip policy as bench_parallel_ingest).
-  if (std::thread::hardware_concurrency() >= 2) {
-    bench::check(mmap_speedup >= 1.2,
-                 "mmap feed_trace beats the TraceReader+queue path",
-                 common::str_format("%.2fx", mmap_speedup));
-  } else {
-    bench::check(mmap_speedup >= 1.0,
-                 "mmap feed_trace does not lose to the TraceReader+queue "
-                 "path (single-core host: margin check skipped)",
-                 common::str_format("%.2fx", mmap_speedup));
   }
 
   const char* json_path_env = std::getenv("SCD_BENCH_JSON");
@@ -416,13 +346,8 @@ int main() {
                  e2e_records, e2e_mrps);
     std::fprintf(f,
                  "  \"end_to_end_w4\": {\"workers\": 4, \"records\": %zu, "
-                 "\"m_records_per_s\": %.3f},\n",
+                 "\"m_records_per_s\": %.3f}\n",
                  e2e_records, e2e_w4_mrps);
-    std::fprintf(f,
-                 "  \"mmap_ingest\": {\"records\": %zu, "
-                 "\"queue_m_records_per_s\": %.3f, "
-                 "\"mmap_m_records_per_s\": %.3f, \"speedup\": %.3f}\n",
-                 e2e_records, queue_mrps, mmap_mrps, mmap_speedup);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());

@@ -10,7 +10,7 @@ exits nonzero when a kernel's GB/s or the batched-UPDATE speedup ratio
 (batched_mups / per_record_mups) regresses more than 25% below the
 baseline. Those two are ratios of co-located measurements, so shared-runner
 noise largely cancels — a 25% drop is a real codegen or kernel regression.
-The absolute end-to-end and mmap rows stay informational only (they swing
+The absolute end-to-end rows stay informational only (they swing
 with runner load); a >20% drop there gets a loud callout but never fails.
 
 --no-gate restores the pure-summary behaviour (always exit 0) for the
@@ -67,7 +67,6 @@ SCALAR_METRICS = [
     ("update", "batched_mups", "batched UPDATE (Mupd/s)"),
     ("end_to_end", "m_records_per_s", "end-to-end W=1 (Mrec/s)"),
     ("end_to_end_w4", "m_records_per_s", "end-to-end W=4 (Mrec/s)"),
-    ("mmap_ingest", "mmap_m_records_per_s", "mmap feed (Mrec/s)"),
 ]
 
 # End-to-end records/s is the headline number of docs/PERFORMANCE.md; a drop
@@ -93,7 +92,7 @@ def e2e_regressions(base: dict, cur: dict) -> list[str]:
     """Returns loud-warning lines for end-to-end throughput drops > 20%."""
     warnings = []
     for section, field, label in SCALAR_METRICS:
-        if not section.startswith(("end_to_end", "mmap_ingest")):
+        if not section.startswith("end_to_end"):
             continue
         b = base.get(section, {}).get(field)
         c = cur.get(section, {}).get(field)

@@ -37,6 +37,12 @@ void AggregatorConfig::validate() const {
         "packets (sketch_to_bytes); 64-bit key kinds are not supported by "
         "the aggregation tier");
   }
+  if (pipeline.recovery != core::RecoveryMode::kReplay) {
+    throw std::invalid_argument(
+        "AggregatorConfig: the wire format ships k-ary sketch packets and "
+        "key sets, not majority-vote state; only replay recovery is "
+        "supported by the aggregation tier");
+  }
   if (pipeline.randomize_intervals) {
     throw std::invalid_argument(
         "AggregatorConfig: randomize_intervals is incompatible with "

@@ -56,8 +56,8 @@ struct AggregatorConfig {
   std::vector<std::uint64_t> nodes;
 
   /// Throws std::invalid_argument when invalid (empty/duplicate node set,
-  /// invalid pipeline config, or a key kind whose sketch packets the wire
-  /// format cannot carry).
+  /// invalid pipeline config, or a key kind or recovery mode whose sketch
+  /// state the wire format cannot carry).
   void validate() const;
 };
 

@@ -25,6 +25,13 @@ std::uint64_t Shipper::connect(const core::PipelineConfig& pipeline) {
         "the wire format ships 32-bit tabulation sketch packets; this "
         "pipeline's key kind needs the 64-bit sketch and cannot be shipped");
   }
+  if (pipeline.recovery != core::RecoveryMode::kReplay) {
+    throw net::WireError(
+        net::WireErrorKind::kBadPayload,
+        "the wire format ships k-ary sketch packets and key sets; this "
+        "pipeline's recovery mode needs majority-vote state and cannot be "
+        "shipped");
+  }
   pipeline_ = pipeline;
   fingerprint_ = core::config_fingerprint(pipeline_);
   family_ = registry_.tabulation(pipeline_.seed, pipeline_.h);

@@ -54,7 +54,9 @@ class Shipper {
   /// aggregator expects from this node (0 for a fresh node; higher after a
   /// rejoin). Throws net::WireError when the connection fails, the
   /// aggregator refuses the handshake (unknown node, fingerprint mismatch),
-  /// or the pipeline's key kind cannot travel in a 32-bit sketch packet.
+  /// or the pipeline cannot be shipped: its key kind needs more than a
+  /// 32-bit sketch packet, or its recovery mode is not replay (the packet
+  /// carries no majority-vote state).
   std::uint64_t connect(const core::PipelineConfig& pipeline);
 
   /// Ships one interval and blocks for the ack. Returns false (without any

@@ -18,6 +18,7 @@
 #include "checkpoint/checkpoint_metrics.h"
 #include "common/atomic_file.h"
 #include "common/crc32.h"
+#include "common/little_endian.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/pipeline.h"
@@ -122,37 +123,6 @@ class PosixFileOps final : public FileOps {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Frame encode/parse
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-[[nodiscard]] std::uint32_t get_u32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t get_u64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_checkpoint_frame(
@@ -160,15 +130,16 @@ std::vector<std::uint8_t> encode_checkpoint_frame(
     std::uint64_t interval_index, const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kCheckpointHeaderBytes + payload.size());
-  put_u32(out, kCheckpointMagic);
-  put_u32(out, kCheckpointVersion);
-  put_u32(out, static_cast<std::uint32_t>(kind));
-  put_u32(out, 0);  // reserved
-  put_u64(out, config_fingerprint);
-  put_u64(out, interval_index);
-  put_u64(out, payload.size());
-  put_u32(out, common::crc32(payload.data(), payload.size()));
-  put_u32(out, common::crc32(out.data(), out.size()));  // header CRC
+  common::ByteWriter w(out);
+  w.u32(kCheckpointMagic);
+  w.u32(kCheckpointVersion);
+  w.u32(static_cast<std::uint32_t>(kind));
+  w.u32(0);  // reserved
+  w.u64(config_fingerprint);
+  w.u64(interval_index);
+  w.u64(payload.size());
+  w.u32(common::crc32(payload.data(), payload.size()));
+  w.u32(common::crc32(out.data(), out.size()));  // header CRC
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -182,23 +153,23 @@ CheckpointFrame decode_checkpoint_frame(const std::vector<std::uint8_t>& bytes) 
                               " bytes)");
   }
   const std::uint8_t* p = bytes.data();
-  if (get_u32(p) != kCheckpointMagic) {
+  if (common::load_le<std::uint32_t>(p) != kCheckpointMagic) {
     throw CheckpointError(CheckpointErrorKind::kBadMagic,
                           "leading bytes are not \"SCDP\"");
   }
-  const std::uint32_t header_crc = get_u32(p + 44);
+  const std::uint32_t header_crc = common::load_le<std::uint32_t>(p + 44);
   if (common::crc32(p, 44) != header_crc) {
     throw CheckpointError(CheckpointErrorKind::kBadCrc,
                           "header CRC32 mismatch");
   }
-  const std::uint32_t version = get_u32(p + 4);
+  const std::uint32_t version = common::load_le<std::uint32_t>(p + 4);
   if (version != kCheckpointVersion) {
     throw CheckpointError(CheckpointErrorKind::kBadVersion,
                           "version " + std::to_string(version) +
                               " is not the supported version " +
                               std::to_string(kCheckpointVersion));
   }
-  const std::uint32_t kind = get_u32(p + 8);
+  const std::uint32_t kind = common::load_le<std::uint32_t>(p + 8);
   if (kind != static_cast<std::uint32_t>(PayloadKind::kSerial) &&
       kind != static_cast<std::uint32_t>(PayloadKind::kParallel)) {
     throw CheckpointError(CheckpointErrorKind::kBadPayload,
@@ -206,9 +177,9 @@ CheckpointFrame decode_checkpoint_frame(const std::vector<std::uint8_t>& bytes) 
   }
   CheckpointFrame parsed;
   parsed.kind = static_cast<PayloadKind>(kind);
-  parsed.config_fingerprint = get_u64(p + 16);
-  parsed.interval_index = get_u64(p + 24);
-  const std::uint64_t payload_len = get_u64(p + 32);
+  parsed.config_fingerprint = common::load_le<std::uint64_t>(p + 16);
+  parsed.interval_index = common::load_le<std::uint64_t>(p + 24);
+  const std::uint64_t payload_len = common::load_le<std::uint64_t>(p + 32);
   const std::uint64_t body = bytes.size() - kCheckpointHeaderBytes;
   if (body < payload_len) {
     throw CheckpointError(CheckpointErrorKind::kTruncated,
@@ -220,7 +191,7 @@ CheckpointFrame decode_checkpoint_frame(const std::vector<std::uint8_t>& bytes) 
                           std::to_string(body - payload_len) +
                               " trailing bytes after the payload");
   }
-  const std::uint32_t payload_crc = get_u32(p + 40);
+  const std::uint32_t payload_crc = common::load_le<std::uint32_t>(p + 40);
   if (common::crc32(p + kCheckpointHeaderBytes,
                     static_cast<std::size_t>(payload_len)) != payload_crc) {
     throw CheckpointError(CheckpointErrorKind::kBadCrc,

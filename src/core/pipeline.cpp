@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/little_endian.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/interval_cutter.h"
@@ -155,47 +156,12 @@ constexpr std::uint64_t kEngineStateVersion = 4;
 /// to stay inside the buffer.
 constexpr std::uint64_t kEngineStateSentinel = 0x5cdc0de5e17a11edULL;
 
-class ByteWriter {
- public:
-  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
- private:
-  std::vector<std::uint8_t>& out_;
-};
-
-class ByteReader {
- public:
-  ByteReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  [[nodiscard]] std::uint64_t u64() {
-    if (size_ - pos_ < 8) {
-      throw sketch::SerializeError(sketch::SerializeErrorKind::kTruncated,
-                                   "engine state ends mid-field");
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-  [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+using common::ByteWriter;
+/// Engine-state cursor: a stream cut off mid-field is a kTruncated
+/// SerializeError. The parallel front-end's state codec reads through the
+/// same reader.
+using ByteReader = common::ByteReader<sketch::SerializeError,
+                                      sketch::SerializeErrorKind::kTruncated>;
 
 /// Bridges the engine's byte stream to the forecast layer's typed
 /// StateWriter: signals (sketches) are written as a register count followed
@@ -501,8 +467,6 @@ class Engine final : public EngineBase {
           "ChangeDetectionPipeline::ingest_interval: batches must be "
           "time-ordered");
     }
-    cutter_.jump_to(batch.start_s, batch.len_s);
-    observed_.load_registers(batch.registers);
     if constexpr (kHasVoteState) {
       if (batch.mv_candidates.size() != observed_.candidates().size() ||
           batch.mv_votes.size() != observed_.votes().size()) {
@@ -510,6 +474,10 @@ class Engine final : public EngineBase {
             "ChangeDetectionPipeline::ingest_interval: majority-vote state "
             "size does not match the configured h*k");
       }
+    }
+    cutter_.jump_to(batch.start_s, batch.len_s);
+    observed_.load_registers(batch.registers);
+    if constexpr (kHasVoteState) {
       observed_.load_aux(batch.mv_candidates, batch.mv_votes);
     }
     if constexpr (!kRecovers) {
@@ -1133,7 +1101,7 @@ std::vector<std::uint8_t> ChangeDetectionPipeline::save_state() const {
 
 void ChangeDetectionPipeline::restore_state(
     const std::vector<std::uint8_t>& bytes) {
-  ByteReader in(bytes.data(), bytes.size());
+  ByteReader in(bytes, "engine state");
   impl_->engine_->restore_state(in);
   if (in.remaining() != 0) {
     throw sketch::SerializeError(

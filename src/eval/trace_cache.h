@@ -1,7 +1,9 @@
 // On-disk + in-process cache of synthetic router traces, so the fifteen-odd
 // bench binaries don't each regenerate the same multi-million-record files.
 // Traces are stored under $SCD_TRACE_DIR (default "./traces") in the binary
-// trace format, keyed by profile name, and validated by record count.
+// trace format, keyed by profile name, and validated when read back: a
+// cached file that is cut short or corrupt throws a typed TraceError and is
+// regenerated, never silently replayed with fewer records.
 #pragma once
 
 #include <string>

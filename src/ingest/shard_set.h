@@ -25,10 +25,6 @@
 // floating-point addition order within each register, and the fixed shard
 // order keeps it bit-identical run to run.
 //
-// The synchronous barrier_merge() remains for single-epoch callers (tests,
-// tools): it closes one epoch and performs the merge inline on the calling
-// thread. The two modes share the publish/collect protocol.
-//
 // Locking contract (docs/CONCURRENCY.md): epoch_mutex_ guards the per-shard
 // publish deques and the epoch counters; publish/collect go through the
 // SCD_REQUIRES(epoch_mutex_) helpers so a clang -Wthread-safety build
@@ -90,11 +86,6 @@ class ShardSetBase {
   virtual ~ShardSetBase() = default;
   /// Enqueues a chunk for `shard` (blocking when the queue is full).
   virtual void submit(std::size_t shard, Chunk&& chunk) = 0;
-  /// Closes the interval in progress synchronously: barrier, COMBINE-merge,
-  /// key concat on the calling thread. All of the interval's chunks must
-  /// have been submitted first. Mutually exclusive with the async epoch
-  /// mode below.
-  [[nodiscard]] virtual core::IntervalBatch barrier_merge() = 0;
   /// Arms asynchronous epoch merging: spawns the merger thread, which
   /// invokes `on_merged` once per closed epoch, in epoch order. At most
   /// `max_outstanding` epochs may be closed-but-unmerged before
@@ -186,19 +177,6 @@ class ShardSet final : public ShardSetBase {
     }
   }
 
-  core::IntervalBatch barrier_merge() SCD_EXCLUDES(epoch_mutex_) override {
-    const std::uint64_t epoch = stamp_epoch_tokens();
-    std::vector<EpochHandoff> handoffs;
-    {
-      common::MutexLock lock(epoch_mutex_);
-      while (!epoch_ready_locked()) epoch_cv_.wait(epoch_mutex_);
-      handoffs = take_epoch_locked();
-      ++epochs_merged_;
-    }
-    (void)epoch;
-    return merge_epoch(std::move(handoffs));
-  }
-
   void begin_async(MergedBatchCallback on_merged,
                    std::size_t max_outstanding) override {
     on_merged_ = std::move(on_merged);
@@ -218,7 +196,7 @@ class ShardSet final : public ShardSetBase {
       }
       rethrow_merge_error_locked();
     }
-    (void)stamp_epoch_tokens();
+    stamp_epoch_tokens();
   }
 
   void drain() SCD_EXCLUDES(epoch_mutex_) override {
@@ -275,17 +253,17 @@ class ShardSet final : public ShardSetBase {
     explicit Shard(std::size_t queue_chunks) : queue(queue_chunks) {}
     BoundedQueue<ShardMessage> queue;
     // Published epochs, oldest first: appended by the worker, drained in
-    // epoch order by the merger (or a barrier_merge caller), both under
-    // the owning ShardSet's epoch_mutex_ (a nested struct cannot name the
-    // outer instance's mutex in an attribute, so the SCD_REQUIRES helpers
-    // below carry the contract).
+    // epoch order by the merger, both under the owning ShardSet's
+    // epoch_mutex_ (a nested struct cannot name the outer instance's mutex
+    // in an attribute, so the SCD_REQUIRES helpers below carry the
+    // contract).
     std::deque<EpochHandoff> published;
     std::thread thread;
   };
 
   /// Stamps one epoch-tagged barrier token per shard queue and advances the
   /// closed-epoch counter. Producer thread only.
-  std::uint64_t stamp_epoch_tokens() SCD_EXCLUDES(epoch_mutex_) {
+  void stamp_epoch_tokens() SCD_EXCLUDES(epoch_mutex_) {
     std::uint64_t epoch = 0;
     {
       common::MutexLock lock(epoch_mutex_);
@@ -295,7 +273,6 @@ class ShardSet final : public ShardSetBase {
       ShardMessage token{{}, true, epoch};
       shard->queue.push(token);
     }
-    return epoch;
   }
 
   /// Worker side of the epoch close: parks the finished interval's sketch

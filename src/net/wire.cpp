@@ -1,87 +1,48 @@
 #include "net/wire.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "common/crc32.h"
+#include "common/little_endian.h"
 #include "sketch/serialize.h"
 
 namespace scd::net {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-[[nodiscard]] std::uint32_t get_u32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t get_u64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] double get_f64(const std::uint8_t* p) noexcept {
-  const std::uint64_t bits = get_u64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+using common::load_le;
 
 /// Validates the 56 header bytes (magic, CRC, version, type, length bound)
 /// and returns the parsed header. Shared by decode_frame and FrameReader so
 /// both reject identically.
 [[nodiscard]] FrameHeader parse_header(const std::uint8_t* p,
                                        std::size_t max_payload_bytes) {
-  if (get_u32(p) != kWireMagic) {
+  if (load_le<std::uint32_t>(p) != kWireMagic) {
     throw WireError(WireErrorKind::kBadMagic,
                     "leading bytes are not \"SCDN\"");
   }
-  const std::uint32_t header_crc = get_u32(p + 52);
+  const std::uint32_t header_crc = load_le<std::uint32_t>(p + 52);
   if (common::crc32(p, 52) != header_crc) {
     throw WireError(WireErrorKind::kBadCrc, "header CRC32 mismatch");
   }
-  const std::uint32_t version = get_u32(p + 4);
+  const std::uint32_t version = load_le<std::uint32_t>(p + 4);
   if (version != kWireVersion) {
     throw WireError(WireErrorKind::kBadVersion,
                     "protocol version " + std::to_string(version) +
                         " is not the supported version " +
                         std::to_string(kWireVersion));
   }
-  const std::uint32_t type = get_u32(p + 8);
+  const std::uint32_t type = load_le<std::uint32_t>(p + 8);
   if (!message_type_known(type)) {
     throw WireError(WireErrorKind::kBadType,
                     "unknown message type " + std::to_string(type));
   }
   FrameHeader header;
   header.type = static_cast<MessageType>(type);
-  header.node_id = get_u64(p + 16);
-  header.interval_index = get_u64(p + 24);
-  header.config_fingerprint = get_u64(p + 32);
-  header.payload_len = get_u64(p + 40);
+  header.node_id = load_le<std::uint64_t>(p + 16);
+  header.interval_index = load_le<std::uint64_t>(p + 24);
+  header.config_fingerprint = load_le<std::uint64_t>(p + 32);
+  header.payload_len = load_le<std::uint64_t>(p + 40);
   if (header.payload_len > max_payload_bytes) {
     throw WireError(WireErrorKind::kOversized,
                     "declared payload of " +
@@ -94,7 +55,7 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
 
 void check_payload_crc(const FrameHeader& header, const std::uint8_t* head,
                        const std::uint8_t* payload) {
-  const std::uint32_t payload_crc = get_u32(head + 48);
+  const std::uint32_t payload_crc = load_le<std::uint32_t>(head + 48);
   if (common::crc32(payload, static_cast<std::size_t>(header.payload_len)) !=
       payload_crc) {
     throw WireError(WireErrorKind::kBadCrc, "payload CRC32 mismatch");
@@ -184,16 +145,17 @@ std::vector<std::uint8_t> encode_frame(const FrameHeader& header,
                                        std::span<const std::uint8_t> payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  put_u32(out, kWireMagic);
-  put_u32(out, kWireVersion);
-  put_u32(out, static_cast<std::uint32_t>(header.type));
-  put_u32(out, 0);  // reserved
-  put_u64(out, header.node_id);
-  put_u64(out, header.interval_index);
-  put_u64(out, header.config_fingerprint);
-  put_u64(out, payload.size());
-  put_u32(out, common::crc32(payload.data(), payload.size()));
-  put_u32(out, common::crc32(out.data(), out.size()));  // header CRC
+  common::ByteWriter w(out);
+  w.u32(kWireMagic);
+  w.u32(kWireVersion);
+  w.u32(static_cast<std::uint32_t>(header.type));
+  w.u32(0);  // reserved
+  w.u64(header.node_id);
+  w.u64(header.interval_index);
+  w.u64(header.config_fingerprint);
+  w.u64(payload.size());
+  w.u32(common::crc32(payload.data(), payload.size()));
+  w.u32(common::crc32(out.data(), out.size()));  // header CRC
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -257,27 +219,9 @@ namespace {
 
 constexpr std::uint64_t kIntervalPayloadVersion = 1;
 
-[[nodiscard]] std::uint64_t take_u64(std::span<const std::uint8_t> in,
-                                     std::size_t& pos) {
-  if (in.size() - pos < 8) {
-    throw WireError(WireErrorKind::kBadPayload,
-                    "interval payload ends mid-field");
-  }
-  const std::uint64_t v = get_u64(in.data() + pos);
-  pos += 8;
-  return v;
-}
-
-[[nodiscard]] double take_f64(std::span<const std::uint8_t> in,
-                              std::size_t& pos) {
-  if (in.size() - pos < 8) {
-    throw WireError(WireErrorKind::kBadPayload,
-                    "interval payload ends mid-field");
-  }
-  const double v = get_f64(in.data() + pos);
-  pos += 8;
-  return v;
-}
+/// Cursor over an interval payload: a field cut off by the end of the
+/// payload is a kBadPayload WireError.
+using PayloadReader = common::ByteReader<WireError, WireErrorKind::kBadPayload>;
 
 }  // namespace
 
@@ -285,21 +229,22 @@ std::vector<std::uint8_t> encode_interval_payload(
     const IntervalPayload& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(8 * 6 + payload.sketch_packet.size() + 8 * payload.keys.size());
-  put_u64(out, kIntervalPayloadVersion);
-  put_f64(out, payload.start_s);
-  put_f64(out, payload.len_s);
-  put_u64(out, payload.records);
-  put_u64(out, payload.sketch_packet.size());
+  common::ByteWriter w(out);
+  w.u64(kIntervalPayloadVersion);
+  w.f64(payload.start_s);
+  w.f64(payload.len_s);
+  w.u64(payload.records);
+  w.u64(payload.sketch_packet.size());
   out.insert(out.end(), payload.sketch_packet.begin(),
              payload.sketch_packet.end());
-  put_u64(out, payload.keys.size());
-  for (const std::uint64_t key : payload.keys) put_u64(out, key);
+  w.u64(payload.keys.size());
+  for (const std::uint64_t key : payload.keys) w.u64(key);
   return out;
 }
 
 IntervalPayload decode_interval_payload(std::span<const std::uint8_t> bytes) {
-  std::size_t pos = 0;
-  const std::uint64_t version = take_u64(bytes, pos);
+  PayloadReader in(bytes, "interval payload");
+  const std::uint64_t version = in.u64();
   if (version != kIntervalPayloadVersion) {
     throw WireError(WireErrorKind::kBadPayload,
                     "interval payload version " + std::to_string(version) +
@@ -307,35 +252,33 @@ IntervalPayload decode_interval_payload(std::span<const std::uint8_t> bytes) {
                         std::to_string(kIntervalPayloadVersion));
   }
   IntervalPayload payload;
-  payload.start_s = take_f64(bytes, pos);
-  payload.len_s = take_f64(bytes, pos);
+  payload.start_s = in.f64();
+  payload.len_s = in.f64();
   if (!std::isfinite(payload.start_s) || !std::isfinite(payload.len_s) ||
       !(payload.len_s > 0.0)) {
     throw WireError(WireErrorKind::kBadPayload,
                     "interval times must be finite with len_s > 0");
   }
-  payload.records = take_u64(bytes, pos);
-  const std::uint64_t sketch_len = take_u64(bytes, pos);
-  if (bytes.size() - pos < sketch_len) {
+  payload.records = in.u64();
+  const std::uint64_t sketch_len = in.u64();
+  if (in.remaining() < sketch_len) {
     throw WireError(WireErrorKind::kBadPayload,
                     "interval payload ends inside the sketch packet");
   }
-  payload.sketch_packet.assign(
-      bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-      bytes.begin() + static_cast<std::ptrdiff_t>(pos + sketch_len));
-  pos += static_cast<std::size_t>(sketch_len);
-  const std::uint64_t key_count = take_u64(bytes, pos);
-  if ((bytes.size() - pos) / 8 < key_count) {
+  const auto packet = in.take(static_cast<std::size_t>(sketch_len));
+  payload.sketch_packet.assign(packet.begin(), packet.end());
+  const std::uint64_t key_count = in.u64();
+  if (in.remaining() / 8 < key_count) {
     throw WireError(WireErrorKind::kBadPayload,
                     "interval payload ends inside the key list");
   }
   payload.keys.reserve(static_cast<std::size_t>(key_count));
   for (std::uint64_t i = 0; i < key_count; ++i) {
-    payload.keys.push_back(take_u64(bytes, pos));
+    payload.keys.push_back(in.u64());
   }
-  if (pos != bytes.size()) {
+  if (in.remaining() != 0) {
     throw WireError(WireErrorKind::kBadPayload,
-                    std::to_string(bytes.size() - pos) +
+                    std::to_string(in.remaining()) +
                         " trailing bytes after the key list");
   }
   return payload;

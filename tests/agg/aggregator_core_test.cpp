@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "agg/aggregator.h"
+#include "agg/shipper.h"
 #include "common/random.h"
 #include "core/pipeline.h"
 #include "net/wire.h"
@@ -76,6 +77,13 @@ TEST(AggregatorConfigTest, ValidationRejectsUnusableSetups) {
   }
   {
     AggregatorConfig c = three_nodes();
+    // The wire carries no majority-vote state, so the aggregator's engine
+    // could never close an interval.
+    c.pipeline.recovery = core::RecoveryMode::kInvertible;
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+  }
+  {
+    AggregatorConfig c = three_nodes();
     c.pipeline.randomize_intervals = true;
     EXPECT_THROW(c.validate(), std::invalid_argument);
   }
@@ -85,6 +93,24 @@ TEST(AggregatorConfigTest, ValidationRejectsUnusableSetups) {
     EXPECT_THROW(c.validate(), std::invalid_argument);
   }
   EXPECT_NO_THROW(three_nodes().validate());
+}
+
+TEST(ShipperTest, ConnectRejectsConfigsTheWireCannotCarry) {
+  // Refused before any socket is opened, with the typed payload error.
+  core::PipelineConfig wide_keys = small_config();
+  wide_keys.key_kind = traffic::KeyKind::kSrcDstPair;  // 64-bit keys
+  core::PipelineConfig invertible = small_config();
+  invertible.recovery = core::RecoveryMode::kInvertible;
+  for (const core::PipelineConfig& config : {wide_keys, invertible}) {
+    Shipper shipper(ShipperConfig{});
+    try {
+      (void)shipper.connect(config);
+      ADD_FAILURE() << "connect accepted an unshippable config";
+    } catch (const net::WireError& error) {
+      EXPECT_EQ(error.wire_kind(), net::WireErrorKind::kBadPayload)
+          << error.what();
+    }
+  }
 }
 
 TEST(AggregatorCore, ClosesOnTheFullBarrierOnly) {

@@ -1,15 +1,9 @@
-// MappedTrace corpus + zero-copy feed equivalence.
-//
-// Corpus half (corrupt-checkpoint style): every way an on-disk .scdt file
-// can lie — truncated header, foreign magic, future version, a short final
-// record, trailing garbage — must surface as the matching typed
-// TraceMapError, and a zero-record file (header only) must map cleanly.
-//
-// Feed half: feed_trace() is a decode-and-add_record loop, so in every
-// recovery mode and interval policy its reports and PipelineStats must be
-// bit-identical to a per-record add_record() feed of the same trace —
-// including interval gaps, randomized interval lengths, staged UPDATE blocks
-// that straddle interval boundaries, and out-of-order clamping.
+// Trace feed equivalence: feed_trace() is a decode-and-add_record loop, so
+// in every recovery mode and interval policy its reports and PipelineStats
+// must be bit-identical to a per-record add_record() feed of the same trace
+// — including interval gaps, randomized interval lengths, staged UPDATE
+// blocks that straddle interval boundaries, and out-of-order clamping. The
+// reader's typed-error corpus lives in tests/traffic/trace_io_test.cpp.
 #include "eval/trace_mmap.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +13,7 @@
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -113,32 +108,36 @@ AlarmSet alarm_set(const std::vector<core::IntervalReport>& reports) {
   return out;
 }
 
-void expect_map_error(const std::string& path, TraceMapErrorKind kind,
-                      const std::string& label) {
-  SCOPED_TRACE(label);
-  try {
-    MappedTrace trace(path);
-    FAIL() << "mapped successfully; expected "
-           << trace_map_error_kind_name(kind);
-  } catch (const TraceMapError& error) {
-    EXPECT_EQ(error.map_kind(), kind) << error.what();
-  }
-}
-
 TEST(MappedTrace, RoundTripMatchesTraceReader) {
+  // Random-access decode() and the streaming next() pass both return the
+  // records written, across block boundaries.
+  const std::vector<traffic::FlowRecord> expected = corpus_records();
+  ASSERT_GT(expected.size(), 2 * MappedTrace::kTraceBlockRecords);
   const std::string path = corpus_trace();
-  const std::vector<traffic::FlowRecord> expected = traffic::read_trace(path);
   const MappedTrace trace(path);
   ASSERT_EQ(trace.record_count(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(trace.record(i), expected[i]) << "record " << i;
+  std::vector<traffic::FlowRecord> all(expected.size());
+  trace.decode(0, all);
+  EXPECT_EQ(all, expected);
+
+  traffic::TraceReader reader(path);
+  traffic::FlowRecord r;
+  std::size_t n = 0;
+  while (reader.next(r)) {
+    ASSERT_LT(n, expected.size());
+    EXPECT_EQ(r, expected[n]) << "record " << n;
+    ++n;
   }
-  // Bulk decode straddling an arbitrary offset agrees with per-record.
+  EXPECT_EQ(n, expected.size());
+
+  // Bulk decode straddling an arbitrary offset agrees with per-record; a
+  // range past the end is refused, not read.
   std::vector<traffic::FlowRecord> slice(7);
   trace.decode(5, slice);
   for (std::size_t i = 0; i < slice.size(); ++i) {
     EXPECT_EQ(slice[i], expected[5 + i]);
   }
+  EXPECT_THROW(trace.decode(expected.size() - 3, slice), std::out_of_range);
 }
 
 TEST(MappedTrace, ZeroRecordFileIsValid) {
@@ -146,69 +145,12 @@ TEST(MappedTrace, ZeroRecordFileIsValid) {
   traffic::write_trace(path, {});
   const MappedTrace trace(path);
   EXPECT_EQ(trace.record_count(), 0u);
-  EXPECT_EQ(trace.size_bytes(), 16u);
 
   core::ChangeDetectionPipeline pipeline(corpus_config());
   feed_trace(trace, pipeline);
   EXPECT_EQ(pipeline.stats().records, 0u);
   EXPECT_EQ(pipeline.stats().intervals_closed, 0u);
   EXPECT_TRUE(pipeline.reports().empty());
-}
-
-TEST(MappedTrace, MissingFileIsOpenFailed) {
-  expect_map_error(fresh_path("mmap_missing.scdt"),
-                   TraceMapErrorKind::kOpenFailed, "missing file");
-}
-
-TEST(MappedTrace, TruncatedHeaderIsTyped) {
-  const std::string path = corpus_trace();
-  const std::vector<std::uint8_t> pristine = read_file(path);
-  for (const std::size_t len : {std::size_t{0}, std::size_t{8},
-                                std::size_t{15}}) {
-    write_file(path, {pristine.begin(), pristine.begin() +
-                                            static_cast<std::ptrdiff_t>(len)});
-    expect_map_error(path, TraceMapErrorKind::kTruncatedHeader,
-                     "header cut at byte " + std::to_string(len));
-  }
-}
-
-TEST(MappedTrace, BadMagicIsTyped) {
-  const std::string path = corpus_trace();
-  std::vector<std::uint8_t> bytes = read_file(path);
-  bytes[0] ^= 0xff;
-  write_file(path, bytes);
-  expect_map_error(path, TraceMapErrorKind::kBadMagic, "flipped magic");
-}
-
-TEST(MappedTrace, BadVersionIsTyped) {
-  const std::string path = corpus_trace();
-  std::vector<std::uint8_t> bytes = read_file(path);
-  bytes[4] = 0x7f;  // version field, little-endian low byte
-  write_file(path, bytes);
-  expect_map_error(path, TraceMapErrorKind::kBadVersion, "future version");
-}
-
-TEST(MappedTrace, ShortFinalRecordIsTyped) {
-  const std::string path = corpus_trace();
-  std::vector<std::uint8_t> bytes = read_file(path);
-  bytes.pop_back();  // cut the last record one byte short
-  write_file(path, bytes);
-  expect_map_error(path, TraceMapErrorKind::kTruncatedBody,
-                   "short final record");
-  // Losing a whole record is the same lie: the header still promises it.
-  bytes.resize(bytes.size() + 1 - traffic::kTraceRecordBytes);
-  write_file(path, bytes);
-  expect_map_error(path, TraceMapErrorKind::kTruncatedBody,
-                   "missing final record");
-}
-
-TEST(MappedTrace, TrailingBytesAreTyped) {
-  const std::string path = corpus_trace();
-  std::vector<std::uint8_t> bytes = read_file(path);
-  bytes.push_back(0xab);
-  write_file(path, bytes);
-  expect_map_error(path, TraceMapErrorKind::kTrailingBytes,
-                   "trailing garbage");
 }
 
 /// Feeds the trace at `path` both ways under `config` and demands the same

@@ -56,10 +56,16 @@ TEST(MvShardProperty, ShardedMergeRecoversBitIdenticalToSerial) {
   const auto serial_recovered = serial.recover_heavy_keys(1000.0);
   ASSERT_EQ(serial_recovered.size(), 8u);
 
-  // Sharded: route by the pipeline's key->shard function, barrier-merge,
+  // Sharded: route by the pipeline's key->shard function, merge the epoch,
   // rebuild a sketch from the published batch (registers + vote state).
   ShardSet<sketch::MvSketch> shards(kSeed, kH, kK, kWorkers,
                                     /*queue_chunks=*/64, nullptr);
+  core::IntervalBatch batch;
+  shards.begin_async(
+      [&batch](std::uint64_t, core::IntervalBatch&& merged) {
+        batch = std::move(merged);
+      },
+      /*max_outstanding=*/1);
   std::vector<Chunk> chunks(kWorkers);
   for (const Record& r : records) {
     chunks[common::mix64(r.key) % kWorkers].push_back(r);
@@ -67,7 +73,8 @@ TEST(MvShardProperty, ShardedMergeRecoversBitIdenticalToSerial) {
   for (std::size_t w = 0; w < kWorkers; ++w) {
     shards.submit(w, std::move(chunks[w]));
   }
-  const core::IntervalBatch batch = shards.barrier_merge();
+  shards.close_epoch();
+  shards.drain();
   shards.stop();
 
   ASSERT_EQ(batch.registers.size(), kH * kK);
@@ -100,6 +107,12 @@ TEST(MvShardProperty, RepeatedShardedRunsAreBitIdentical) {
   std::vector<std::vector<sketch::RecoveredHeavyKey>> runs;
   for (int round = 0; round < 3; ++round) {
     ShardSet<sketch::MvSketch> shards(kSeed, kH, kK, kWorkers, 64, nullptr);
+    core::IntervalBatch batch;
+    shards.begin_async(
+        [&batch](std::uint64_t, core::IntervalBatch&& merged) {
+          batch = std::move(merged);
+        },
+        /*max_outstanding=*/1);
     std::vector<Chunk> chunks(kWorkers);
     for (const Record& r : records) {
       chunks[common::mix64(r.key) % kWorkers].push_back(r);
@@ -107,7 +120,8 @@ TEST(MvShardProperty, RepeatedShardedRunsAreBitIdentical) {
     for (std::size_t w = 0; w < kWorkers; ++w) {
       shards.submit(w, std::move(chunks[w]));
     }
-    const core::IntervalBatch batch = shards.barrier_merge();
+    shards.close_epoch();
+  shards.drain();
     shards.stop();
     sketch::MvSketch merged(
         std::make_shared<const hash::TabulationHashFamily>(kSeed, kH), kK);

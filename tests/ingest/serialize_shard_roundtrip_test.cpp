@@ -8,6 +8,7 @@
 // equality. Runs under the tsan preset via `ctest -L concurrency`.
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,10 +43,16 @@ TEST(SerializeShardRoundTrip, ParallelMergeSurvivesTheWireFormat) {
   const auto records = make_records(20000);
 
   // Sharded ingest: two producer threads route chunks by key to kWorkers
-  // private sketches; the barrier COMBINE-merges them.
+  // private sketches; the epoch merge COMBINEs them.
   ShardSet<sketch::KarySketch> shards(kSeed, kH, kK, kWorkers,
                                               /*queue_chunks=*/64,
                                               /*instruments=*/nullptr);
+  core::IntervalBatch batch;
+  shards.begin_async(
+      [&batch](std::uint64_t, core::IntervalBatch&& merged) {
+        batch = std::move(merged);
+      },
+      /*max_outstanding=*/1);
   const auto produce = [&shards, &records](std::size_t half) {
     std::vector<Chunk> chunks(kWorkers);
     const std::size_t begin = half * records.size() / 2;
@@ -61,7 +68,8 @@ TEST(SerializeShardRoundTrip, ParallelMergeSurvivesTheWireFormat) {
   std::thread second(produce, 1);
   first.join();
   second.join();
-  const core::IntervalBatch batch = shards.barrier_merge();
+  shards.close_epoch();
+  shards.drain();
   shards.stop();
 
   // Rehydrate the merged registers into a sketch over the same family and
@@ -91,12 +99,19 @@ TEST(SerializeShardRoundTrip, CorruptedShardExportIsRejected) {
                                               /*worker_count=*/2,
                                               /*queue_chunks=*/8,
                                               /*instruments=*/nullptr);
+  core::IntervalBatch batch;
+  shards.begin_async(
+      [&batch](std::uint64_t, core::IntervalBatch&& merged) {
+        batch = std::move(merged);
+      },
+      /*max_outstanding=*/1);
   Chunk chunk;
   for (std::uint64_t key = 0; key < 500; ++key) {
     chunk.push_back(Record{key, 3.0});
   }
   shards.submit(0, std::move(chunk));
-  const core::IntervalBatch batch = shards.barrier_merge();
+  shards.close_epoch();
+  shards.drain();
   shards.stop();
 
   const auto family = sketch::make_tabulation_family(kSeed, kH);

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +31,12 @@ TEST(ShardStatsRace, StatsReadableFromMonitorThreadDuringIngest) {
       /*seed=*/0x5eed, /*h=*/5, /*k=*/1024, kWorkers, /*queue_chunks=*/1,
       /*instruments=*/nullptr);
 
+  core::IntervalBatch batch;
+  shards.begin_async(
+      [&batch](std::uint64_t, core::IntervalBatch&& merged) {
+        batch = std::move(merged);
+      },
+      /*max_outstanding=*/1);
   std::atomic<bool> done{false};
   std::uint64_t last_waits = 0;
   std::thread monitor([&] {
@@ -48,7 +55,8 @@ TEST(ShardStatsRace, StatsReadableFromMonitorThreadDuringIngest) {
       shards.submit(shard, std::move(chunk));
     }
   }
-  const core::IntervalBatch batch = shards.barrier_merge();
+  shards.close_epoch();
+  shards.drain();
   done.store(true, std::memory_order_release);
   monitor.join();
   shards.stop();
