@@ -21,12 +21,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         scd::checkpoint::decode_checkpoint_frame(bytes);
     const std::vector<std::uint8_t> reencoded =
         scd::checkpoint::encode_checkpoint_frame(
-            frame.kind, frame.config_fingerprint, frame.interval_index,
-            frame.payload);
+            frame.config_fingerprint, frame.interval_index, frame.payload);
     const scd::checkpoint::CheckpointFrame again =
         scd::checkpoint::decode_checkpoint_frame(reencoded);
-    if (again.kind != frame.kind ||
-        again.config_fingerprint != frame.config_fingerprint ||
+    if (again.config_fingerprint != frame.config_fingerprint ||
         again.interval_index != frame.interval_index ||
         again.payload != frame.payload) {
       __builtin_trap();  // round-trip divergence is a parser bug

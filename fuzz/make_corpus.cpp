@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
+#include "common/crc32.h"
+#include "common/little_endian.h"
 #include "net/wire.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
@@ -119,15 +121,19 @@ int main(int argc, char** argv) {
   write_variants(wire_dir, "seed-interval",
                  scd::net::encode_frame(data, payload_bytes));
 
-  // Checkpoint seeds: serial and parallel kinds over distinct payloads.
+  // Checkpoint seeds: a valid engine-snapshot frame, and a frame whose
+  // payload_kind word is 2 — the retired parallel front-end wrapper — with a
+  // valid header CRC, so the replay reaches the kind check and its typed
+  // rejection.
   write_variants(ckpt_dir, "seed-serial",
                  scd::checkpoint::encode_checkpoint_frame(
-                     scd::checkpoint::PayloadKind::kSerial,
                      0xfeedface12345678ull, 42, packet));
-  write_variants(ckpt_dir, "seed-parallel",
-                 scd::checkpoint::encode_checkpoint_frame(
-                     scd::checkpoint::PayloadKind::kParallel,
-                     0xfeedface12345678ull, 43, {0x01, 0x02, 0x03}));
+  std::vector<std::uint8_t> kind2 = scd::checkpoint::encode_checkpoint_frame(
+      0xfeedface12345678ull, 43, {0x01, 0x02, 0x03});
+  scd::common::store_le<std::uint32_t>(kind2.data() + 8, 2);
+  scd::common::store_le<std::uint32_t>(kind2.data() + 44,
+                                       scd::common::crc32(kind2.data(), 44));
+  write_variants(ckpt_dir, "seed-parallel", kind2);
 
   std::printf("make_fuzz_corpus: seeded %s\n", root.string().c_str());
   return 0;

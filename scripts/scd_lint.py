@@ -188,11 +188,6 @@ ANNOTATION_CONTRACT = {
          r"SCD_REQUIRES\(epoch_mutex_\)",
          "take_epoch_locked must declare SCD_REQUIRES(epoch_mutex_)"),
     ],
-    "src/ingest/parallel_pipeline.cpp": [
-        ("pending_closes_",
-         r"\bpending_closes_\s+SCD_GUARDED_BY\(close_mutex_\)",
-         "pending_closes_ must be declared SCD_GUARDED_BY(close_mutex_)"),
-    ],
 }
 
 # ---- mo-rationale ----

@@ -230,6 +230,7 @@ class Aggregator::Impl {
     core::IntervalBatch batch;
     batch.start_s = pending.start_s;
     batch.len_s = pending.len_s;
+    batch.high_water_s = pending.start_s + pending.len_s;
     batch.registers.assign(config_.pipeline.h * config_.pipeline.k, 0.0);
     for (const auto& [node_id, part] : pending.parts) {
       for (std::size_t i = 0; i < batch.registers.size(); ++i) {

@@ -20,12 +20,11 @@
 #include "common/crc32.h"
 #include "common/little_endian.h"
 #include "common/logging.h"
-#include "common/timer.h"
 #include "core/pipeline.h"
 #include "ingest/parallel_pipeline.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/stage_timer.h"
 #include "sketch/serialize.h"
 
 namespace scd::checkpoint {
@@ -126,14 +125,14 @@ class PosixFileOps final : public FileOps {
 }  // namespace
 
 std::vector<std::uint8_t> encode_checkpoint_frame(
-    PayloadKind kind, std::uint64_t config_fingerprint,
-    std::uint64_t interval_index, const std::vector<std::uint8_t>& payload) {
+    std::uint64_t config_fingerprint, std::uint64_t interval_index,
+    const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kCheckpointHeaderBytes + payload.size());
   common::ByteWriter w(out);
   w.u32(kCheckpointMagic);
   w.u32(kCheckpointVersion);
-  w.u32(static_cast<std::uint32_t>(kind));
+  w.u32(kCheckpointPayloadKind);
   w.u32(0);  // reserved
   w.u64(config_fingerprint);
   w.u64(interval_index);
@@ -170,13 +169,16 @@ CheckpointFrame decode_checkpoint_frame(const std::vector<std::uint8_t>& bytes) 
                               std::to_string(kCheckpointVersion));
   }
   const std::uint32_t kind = common::load_le<std::uint32_t>(p + 8);
-  if (kind != static_cast<std::uint32_t>(PayloadKind::kSerial) &&
-      kind != static_cast<std::uint32_t>(PayloadKind::kParallel)) {
-    throw CheckpointError(CheckpointErrorKind::kBadPayload,
-                          "unknown payload kind " + std::to_string(kind));
+  if (kind != kCheckpointPayloadKind) {
+    // Kind 2 was the retired parallel front-end wrapper; its payload is not
+    // an engine snapshot and is never parsed as one.
+    throw CheckpointError(
+        CheckpointErrorKind::kBadPayload,
+        "payload kind " + std::to_string(kind) +
+            " is not an engine snapshot (kind " +
+            std::to_string(kCheckpointPayloadKind) + ")");
   }
   CheckpointFrame parsed;
-  parsed.kind = static_cast<PayloadKind>(kind);
   parsed.config_fingerprint = common::load_le<std::uint64_t>(p + 16);
   parsed.interval_index = common::load_le<std::uint64_t>(p + 24);
   const std::uint64_t payload_len = common::load_le<std::uint64_t>(p + 32);
@@ -204,6 +206,14 @@ CheckpointFrame decode_checkpoint_frame(const std::vector<std::uint8_t>& bytes) 
 }
 
 namespace {
+
+/// The checkpoint instruments when metrics are on; null otherwise, and
+/// always null in a SCD_OBS_ENABLED=0 build, so every counter site is one
+/// null test.
+[[nodiscard]] CheckpointInstruments* instruments(bool metrics) {
+  return SCD_OBS_ENABLED && metrics ? &CheckpointInstruments::global()
+                                    : nullptr;
+}
 
 [[nodiscard]] std::vector<std::uint8_t> read_file(
     const std::filesystem::path& path) {
@@ -331,29 +341,25 @@ bool CheckpointWriter::due(std::size_t intervals_closed) const noexcept {
 }
 
 std::filesystem::path CheckpointWriter::write(
-    PayloadKind kind, std::uint64_t interval_index,
-    const std::vector<std::uint8_t>& state) {
-  SCD_TRACE_SPAN_ARG("checkpoint_write", "checkpoint", interval_index);
-  const common::Stopwatch watch;
-#if SCD_OBS_ENABLED
-  CheckpointInstruments* obs =
-      options_.metrics ? &CheckpointInstruments::global() : nullptr;
-#endif
+    std::uint64_t interval_index, const std::vector<std::uint8_t>& state) {
+  CheckpointInstruments* obs = instruments(options_.metrics);
+  // One clock for the latency histogram and the trace span; a failed write
+  // is timed too (its duration is what a failing disk looks like).
+  const obs::StageTimer timer(obs != nullptr ? &obs->snapshot_seconds : nullptr,
+                              "checkpoint_write", "checkpoint", interval_index);
   const std::filesystem::path final_path =
       options_.directory / checkpoint_filename(interval_index);
   const std::filesystem::path temp_path =
       final_path.string() + kTempSuffix;
   const std::vector<std::uint8_t> framed =
-      encode_checkpoint_frame(kind, fingerprint_, interval_index, state);
+      encode_checkpoint_frame(fingerprint_, interval_index, state);
   try {
     ops_->write_file_durable(temp_path, framed);
     ops_->rename_durable(temp_path, final_path);
   } catch (const std::exception& e) {
     // Leave no temp file behind; the previous checkpoints are untouched.
     ops_->remove_file(temp_path);
-#if SCD_OBS_ENABLED
     if (obs != nullptr) obs->write_failures.inc();
-#endif
     // A failing checkpoint is exactly when the recent past matters: capture
     // it before rethrowing (the dump itself runs on the recorder's thread).
     obs::FlightRecorder::notify_checkpoint_error("checkpoint write",
@@ -361,35 +367,40 @@ std::filesystem::path CheckpointWriter::write(
     throw;
   } catch (...) {
     ops_->remove_file(temp_path);
-#if SCD_OBS_ENABLED
     if (obs != nullptr) obs->write_failures.inc();
-#endif
     throw;
   }
   prune();
-#if SCD_OBS_ENABLED
   if (obs != nullptr) {
     obs->snapshots.inc();
     obs->snapshot_bytes.inc(framed.size());
     obs->last_snapshot_bytes.set(static_cast<double>(framed.size()));
-    obs->snapshot_seconds.observe(watch.seconds());
   }
-#endif
   return final_path;
 }
 
-void CheckpointWriter::attach(core::ChangeDetectionPipeline& pipeline) {
-  core::ChangeDetectionPipeline* p = &pipeline;
-  pipeline.set_interval_close_callback([this, p](std::size_t closed) {
-    if (!due(closed)) return;
+namespace {
+
+/// The interval-close callback both attach() overloads install: snapshot
+/// on the writer's cadence, log and count a failed write, never throw.
+template <typename Pipeline>
+void install_snapshot_callback(CheckpointWriter& writer, Pipeline& pipeline) {
+  Pipeline* p = &pipeline;
+  pipeline.set_interval_close_callback([&writer, p](std::size_t closed) {
+    if (!writer.due(closed)) return;
     try {
-      (void)write(PayloadKind::kSerial, p->position().interval_index,
-                  p->save_state());
+      (void)writer.write(p->position().interval_index, p->save_state());
     } catch (const std::exception& e) {
       SCD_WARN() << "checkpoint write failed (stream continues): "
                  << e.what();
     }
   });
+}
+
+}  // namespace
+
+void CheckpointWriter::attach(core::ChangeDetectionPipeline& pipeline) {
+  install_snapshot_callback(*this, pipeline);
 }
 
 void CheckpointWriter::detach() noexcept {
@@ -411,17 +422,7 @@ CheckpointWriter::~CheckpointWriter() { detach(); }
 
 void CheckpointWriter::attach(ingest::ParallelPipeline& pipeline) {
   attached_ = &pipeline;
-  ingest::ParallelPipeline* p = &pipeline;
-  pipeline.set_interval_close_callback([this, p](std::size_t closed) {
-    if (!due(closed)) return;
-    try {
-      (void)write(PayloadKind::kParallel, p->position().interval_index,
-                  p->save_state());
-    } catch (const std::exception& e) {
-      SCD_WARN() << "checkpoint write failed (stream continues): "
-                 << e.what();
-    }
-  });
+  install_snapshot_callback(*this, pipeline);
 }
 
 void CheckpointWriter::prune() noexcept {
@@ -454,16 +455,10 @@ namespace {
 /// restores into it and swaps it into place, throwing on rejection.
 template <typename TryRestore>
 RecoverResult recover_scan(const std::filesystem::path& directory,
-                           PayloadKind expected_kind,
                            std::uint64_t expected_fingerprint, bool metrics,
                            TryRestore&& try_restore) {
   RecoverResult result;
-#if SCD_OBS_ENABLED
-  CheckpointInstruments* obs =
-      metrics ? &CheckpointInstruments::global() : nullptr;
-#else
-  (void)metrics;
-#endif
+  CheckpointInstruments* obs = instruments(metrics);
   for (const std::filesystem::path& path : list_checkpoints(directory)) {
     try {
       const CheckpointFrame parsed = decode_checkpoint_frame(read_file(path));
@@ -474,23 +469,11 @@ RecoverResult recover_scan(const std::filesystem::path& directory,
                 " was written by a pipeline with a different configuration "
                 "(fingerprint mismatch); refusing to restore");
       }
-      if (parsed.kind != expected_kind) {
-        throw CheckpointError(
-            CheckpointErrorKind::kConfigMismatch,
-            path.string() + " holds a " +
-                (parsed.kind == PayloadKind::kSerial ? "serial" : "parallel") +
-                " snapshot but a " +
-                (expected_kind == PayloadKind::kSerial ? "serial"
-                                                       : "parallel") +
-                " pipeline is restoring");
-      }
       try_restore(parsed.payload);
       result.restored = true;
       result.path = path;
       result.interval_index = parsed.interval_index;
-#if SCD_OBS_ENABLED
       if (obs != nullptr) obs->restores.inc();
-#endif
       return result;
     } catch (const CheckpointError& e) {
       if (e.checkpoint_kind() == CheckpointErrorKind::kConfigMismatch) throw;
@@ -502,9 +485,7 @@ RecoverResult recover_scan(const std::filesystem::path& directory,
       SCD_WARN() << "recover: skipping " << path.string() << ": " << e.what();
     }
     ++result.skipped;
-#if SCD_OBS_ENABLED
     if (obs != nullptr) obs->restore_skipped.inc();
-#endif
   }
   return result;
 }
@@ -515,7 +496,7 @@ RecoverResult recover(const std::filesystem::path& directory,
                       core::ChangeDetectionPipeline& pipeline) {
   const core::PipelineConfig& config = pipeline.config();
   return recover_scan(
-      directory, PayloadKind::kSerial, checkpoint::config_fingerprint(config),
+      directory, checkpoint::config_fingerprint(config),
       config.metrics, [&](const std::vector<std::uint8_t>& payload) {
         // Restore into a scratch pipeline first: a mid-restore throw must
         // not leave the caller's pipeline half-mutated.
@@ -530,7 +511,7 @@ RecoverResult recover(const std::filesystem::path& directory,
   const core::PipelineConfig& config = pipeline.config();
   const ingest::ParallelConfig parallel = pipeline.parallel_config();
   return recover_scan(
-      directory, PayloadKind::kParallel, checkpoint::config_fingerprint(config),
+      directory, checkpoint::config_fingerprint(config),
       config.metrics, [&](const std::vector<std::uint8_t>& payload) {
         ingest::ParallelPipeline scratch(config, parallel);
         scratch.restore_state(payload);

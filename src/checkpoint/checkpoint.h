@@ -2,14 +2,15 @@
 //
 // A checkpoint is one file holding a pipeline's complete interval-boundary
 // state (core/pipeline.h save_state(): sketches, forecast-model state,
-// counters, RNG words). The file is written atomically — serialize to a
-// temp file, fsync, rename into place, fsync the directory — and framed
-// with CRC32s, so after a crash the directory contains only (a) complete,
-// verifiable checkpoints and (b) garbage that verification rejects; never a
-// file that loads but lies. recover() scans the directory newest-first,
-// skips anything corrupt or truncated (with a logged reason), and restores
-// the newest valid snapshot so that all post-restore reports are
-// bit-identical to an uninterrupted run.
+// counters, RNG words). Both pipelines snapshot the same engine state, so a
+// checkpoint from either restores into either. The file is written
+// atomically — serialize to a temp file, fsync, rename into place, fsync the
+// directory — and framed with CRC32s, so after a crash the directory
+// contains only (a) complete, verifiable checkpoints and (b) garbage that
+// verification rejects; never a file that loads but lies. recover() scans
+// the directory newest-first, skips anything corrupt or truncated (with a
+// logged reason), and restores the newest valid snapshot so that all
+// post-restore reports are bit-identical to an uninterrupted run.
 //
 // File layout (little-endian):
 //   u32 magic "SCDP" | u32 version | u32 payload_kind | u32 reserved |
@@ -17,9 +18,10 @@
 //   u32 payload_crc32 | u32 header_crc32          (48-byte header)
 //   payload_len bytes of pipeline state
 // header_crc32 covers the 44 bytes before it; payload_crc32 covers the
-// payload. A restore against a pipeline whose config_fingerprint differs —
-// different sketch geometry, model, thresholds — is a typed error
-// (kConfigMismatch), never a silent misload.
+// payload; payload_kind is always kCheckpointPayloadKind. A restore against
+// a pipeline whose config_fingerprint differs — different sketch geometry,
+// model, thresholds — is a typed error (kConfigMismatch), never a silent
+// misload.
 #pragma once
 
 #include <cstddef>
@@ -39,13 +41,10 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// Fixed header size in bytes (see file layout above).
 inline constexpr std::size_t kCheckpointHeaderBytes = 48;
 
-/// What kind of pipeline state the payload holds. A serial engine snapshot
-/// and a parallel front-end snapshot have different layouts; restoring one
-/// as the other is a typed error, not a parse attempt.
-enum class PayloadKind : std::uint32_t {
-  kSerial = 1,
-  kParallel = 2,
-};
+/// The header's payload_kind: the payload is an engine snapshot. Any other
+/// value — 2 was the retired parallel front-end wrapper — is kBadPayload,
+/// and recover() skips the file.
+inline constexpr std::uint32_t kCheckpointPayloadKind = 1;
 
 /// Why a checkpoint operation failed. Every failure path in this module is
 /// typed: recovery logic distinguishes "skip this file, try an older one"
@@ -57,8 +56,8 @@ enum class CheckpointErrorKind {
   kBadMagic,        ///< leading bytes are not "SCDP"
   kBadVersion,      ///< unknown checkpoint format version
   kBadCrc,          ///< header or payload CRC32 mismatch
-  kConfigMismatch,  ///< fingerprint or payload kind differs from the restorer
-  kBadPayload,      ///< framing verified but the pipeline rejected the state
+  kConfigMismatch,  ///< config fingerprint differs from the restorer's
+  kBadPayload,      ///< unknown payload kind, or the pipeline refused it
 };
 
 [[nodiscard]] const char* checkpoint_error_kind_name(
@@ -153,7 +152,7 @@ class CheckpointWriter {
   /// atomically. Returns the final path. Throws
   /// CheckpointError(kWriteFailed) on I/O failure — the directory then still
   /// holds the previous checkpoints, never a half-written current one.
-  std::filesystem::path write(PayloadKind kind, std::uint64_t interval_index,
+  std::filesystem::path write(std::uint64_t interval_index,
                               const std::vector<std::uint8_t>& state);
 
   /// Installs an interval-close callback on `pipeline` that snapshots every
@@ -210,9 +209,10 @@ struct RecoverResult {
 /// Corrupt, truncated or unreadable files are skipped with a logged reason
 /// and counted (scd_ckpt_restore_skipped_total); the state is first loaded
 /// into a scratch pipeline so a failure mid-restore never leaves `pipeline`
-/// half-mutated. A checkpoint whose config fingerprint or payload kind does
-/// not match throws CheckpointError(kConfigMismatch): silently falling back
-/// to an older file would mask an operator error. When no valid checkpoint
+/// half-mutated. A checkpoint whose config fingerprint does not match throws
+/// CheckpointError(kConfigMismatch): silently falling back to an older file
+/// would mask an operator error. Either pipeline restores a checkpoint
+/// written by either. When no valid checkpoint
 /// exists, returns restored = false and leaves `pipeline` untouched.
 [[nodiscard]] RecoverResult recover(const std::filesystem::path& directory,
                                     core::ChangeDetectionPipeline& pipeline);
@@ -223,7 +223,6 @@ struct RecoverResult {
 /// (CRC-checked) payload bytes. The payload is still opaque here — restoring
 /// it into a pipeline is recover()'s job.
 struct CheckpointFrame {
-  PayloadKind kind = PayloadKind::kSerial;
   std::uint64_t config_fingerprint = 0;
   std::uint64_t interval_index = 0;
   std::vector<std::uint8_t> payload;
@@ -240,8 +239,8 @@ struct CheckpointFrame {
 /// Inverse of decode_checkpoint_frame: frames `payload` with a valid header.
 /// Exposed for corpus generation and round-trip tests.
 [[nodiscard]] std::vector<std::uint8_t> encode_checkpoint_frame(
-    PayloadKind kind, std::uint64_t config_fingerprint,
-    std::uint64_t interval_index, const std::vector<std::uint8_t>& payload);
+    std::uint64_t config_fingerprint, std::uint64_t interval_index,
+    const std::vector<std::uint8_t>& payload);
 
 /// Checkpoint file names for `interval_index`: "ckpt-<20-digit index>.scdc".
 [[nodiscard]] std::string checkpoint_filename(std::uint64_t interval_index);

@@ -16,8 +16,8 @@ CheckpointInstruments CheckpointInstruments::create(
                        "Checkpoint writes that failed before the atomic "
                        "rename completed"),
       registry.histogram("scd_ckpt_snapshot_seconds",
-                         "Latency of one checkpoint: serialize, durable "
-                         "write, rename, prune",
+                         "Latency of one checkpoint write attempt, failed "
+                         "ones included: frame, durable write, rename, prune",
                          obs::Histogram::default_latency_buckets()),
       registry.counter("scd_ckpt_restores_total",
                        "Successful recover() restores"),

@@ -6,7 +6,7 @@
 //   scd_ckpt_snapshots_total        counter    checkpoints written
 //   scd_ckpt_snapshot_bytes_total   counter    bytes written (payload+header)
 //   scd_ckpt_write_failures_total   counter    writes that failed midway
-//   scd_ckpt_snapshot_seconds       histogram  serialize+write+rename latency
+//   scd_ckpt_snapshot_seconds       histogram  write latency, failures included
 //   scd_ckpt_restores_total         counter    successful recover() restores
 //   scd_ckpt_restore_skipped_total  counter    corrupt candidates skipped
 //   scd_ckpt_last_snapshot_bytes    gauge      size of the newest checkpoint

@@ -1,7 +1,7 @@
 // Little-endian byte packing shared by every binary format the repository
-// writes: .scdt traces, checkpoint frames, wire frames, and the engine and
-// parallel front-end state streams. Each format fixes its byte order so a
-// file or packet written on one host reads back identically on any other.
+// writes: .scdt traces, checkpoint frames, wire frames, and the engine state
+// stream. Each format fixes its byte order so a file or packet written on one
+// host reads back identically on any other.
 #pragma once
 
 #include <bit>

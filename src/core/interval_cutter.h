@@ -59,13 +59,15 @@ class IntervalCutter {
   }
 
   /// Positions the open interval at [start_s, start_s + length_s), cut by
-  /// someone else (a pre-aggregated batch). The high-water mark moves to the
-  /// interval's end.
-  void jump_to(double start_s, double length_s) noexcept {
+  /// someone else (a pre-aggregated batch) whose records reached
+  /// `high_water_s` and counted `late` out-of-order records.
+  void jump_to(double start_s, double length_s, double high_water_s,
+               std::uint64_t late) noexcept {
     started_ = true;
     start_s_ = start_s;
     length_s_ = length_s;
-    high_water_s_ = std::max(high_water_s_, start_s + length_s);
+    high_water_s_ = std::max(high_water_s_, high_water_s);
+    out_of_order_ += late;
   }
 
   /// Reinstates a saved position (checkpoint restore).

@@ -475,7 +475,9 @@ class Engine final : public EngineBase {
             "size does not match the configured h*k");
       }
     }
-    cutter_.jump_to(batch.start_s, batch.len_s);
+    cutter_.jump_to(batch.start_s, batch.len_s, batch.high_water_s,
+                    batch.late_records);
+    if (obs_ != nullptr) obs_->out_of_order.inc(batch.late_records);
     observed_.load_registers(batch.registers);
     if constexpr (kHasVoteState) {
       observed_.load_aux(batch.mv_candidates, batch.mv_votes);

@@ -155,7 +155,17 @@ struct PipelineStats {
 struct IntervalBatch {
   double start_s = 0.0;
   double len_s = 0.0;
+  /// Largest record timestamp the producer had seen when it cut the
+  /// interval. It becomes the engine's out-of-order high-water mark, so a
+  /// sharded front-end's engine holds the same stream position as a serial
+  /// pipeline fed the same records. A producer without record times (the
+  /// aggregation tier) passes the interval's end.
+  double high_water_s = 0.0;
   std::uint64_t records = 0;
+  /// How many of `records` arrived out of order and were clamped into the
+  /// interval by the producer's cutter; added to
+  /// PipelineStats::out_of_order_records.
+  std::uint64_t late_records = 0;
   /// Row-major h x k counter table.
   std::vector<double> registers;
   std::vector<std::uint64_t> keys;  // distinct keys (shard-concatenated)

@@ -3,16 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "common/little_endian.h"
-#include "common/mutex.h"
 #include "common/random.h"
-#include "common/thread_annotations.h"
 #include "core/interval_cutter.h"
 #include "core/pipeline.h"
 #include "hash/cw_hash.h"
@@ -22,25 +16,10 @@
 #include "obs/metrics.h"
 #include "sketch/kary_sketch.h"
 #include "sketch/mv_sketch.h"
-#include "sketch/serialize.h"
 #include "traffic/flow_record.h"
 #include "traffic/key_extract.h"
 
 namespace scd::ingest {
-
-namespace {
-
-/// Front-end state stream layout version; bump on any field change. The
-/// serial engine's payload is versioned separately inside its own blob.
-constexpr std::uint64_t kFrontendStateVersion = 1;
-
-/// Same bounded reader as the engine-state codec: a stream cut off
-/// mid-field is a kTruncated SerializeError.
-using StateReader =
-    common::ByteReader<sketch::SerializeError,
-                       sketch::SerializeErrorKind::kTruncated>;
-
-}  // namespace
 
 void ParallelConfig::validate(const core::PipelineConfig& pipeline) const {
   if (workers < 1 || workers > 256) {
@@ -115,8 +94,8 @@ class ParallelPipeline::Impl {
     // Arm the asynchronous epoch merge (docs/PERFORMANCE.md): the merger
     // thread delivers every closed interval, in order, to handle_merged.
     shards_->begin_async(
-        [this](std::uint64_t epoch, core::IntervalBatch&& batch) {
-          handle_merged(epoch, std::move(batch));
+        [this](std::uint64_t, core::IntervalBatch&& batch) {
+          handle_merged(std::move(batch));
         },
         parallel_.max_pending_intervals);
   }
@@ -165,22 +144,12 @@ class ParallelPipeline::Impl {
 
   void drain() { shards_->drain(); }
 
-  [[nodiscard]] core::PipelineStats stats() const noexcept {
-    core::PipelineStats s = serial_.stats();
-    s.out_of_order_records += cutter_.out_of_order();
-    return s;
-  }
-
   [[nodiscard]] ParallelStats parallel_stats() const noexcept {
     ParallelStats s = stats_;
     s.out_of_order_records = cutter_.out_of_order();
     s.backpressure_waits = shards_->backpressure_waits();
     s.shutdown_dropped_records = shards_->dropped_records();
     return s;
-  }
-
-  void set_interval_close_callback(std::function<void(std::size_t)> callback) {
-    on_interval_close_ = std::move(callback);
   }
 
   void set_interval_batch_callback(
@@ -190,111 +159,40 @@ class ParallelPipeline::Impl {
   }
 
   [[nodiscard]] std::vector<std::uint8_t> save_state() const {
-    if (active_close_.has_value()) {
-      // Interval-close-callback context (merger thread): serialize the
-      // closed interval's captured position, NOT the producer's live
-      // fields, which may already belong to later epochs. The bytes are
-      // identical to what a synchronous close would have produced at this
-      // boundary, so restore/replay semantics are unchanged.
-      const PendingClose& close = *active_close_;
-      std::vector<std::uint8_t> bytes;
-      common::ByteWriter out(bytes);
-      out.u64(kFrontendStateVersion);
-      out.u64(1);  // a closed interval implies a started stream
-      out.f64(close.start_s + config_.interval_s);
-      out.f64(close.last_time);
-      out.u64(close.records);
-      out.u64(close.out_of_order);
-      out.u64(close.interval_index + 1);
-      const std::vector<std::uint8_t> serial = serial_.save_state();
-      out.u64(serial.size());
-      bytes.insert(bytes.end(), serial.begin(), serial.end());
-      return bytes;
-    }
-    if (records_since_barrier_ != 0) {
-      throw std::logic_error(
-          "ParallelPipeline::save_state: records accepted since the last "
-          "interval close; snapshot only from the interval-close callback");
-    }
-    {
-      common::MutexLock lock(close_mutex_);
-      if (!pending_closes_.empty()) {
+    // Inside an interval callback the merger owns the engine, which sits at
+    // that interval's boundary; the producer-side fields below may already
+    // belong to later epochs and are not the merger's to read.
+    if (!shards_->on_merger_thread()) {
+      if (records_since_barrier_ != 0) {
+        throw std::logic_error(
+            "ParallelPipeline::save_state: records accepted since the last "
+            "interval close; snapshot only from the interval-close callback");
+      }
+      if (!shards_->idle()) {
         throw std::logic_error(
             "ParallelPipeline::save_state: closed intervals are still being "
             "merged; snapshot from the interval-close callback or after "
             "flush()");
       }
     }
-    std::vector<std::uint8_t> bytes;
-    common::ByteWriter out(bytes);
-    out.u64(kFrontendStateVersion);
-    out.u64(cutter_.started() ? 1 : 0);
-    out.f64(cutter_.start_s());
-    out.f64(cutter_.high_water_s());
-    out.u64(stats_.records);
-    out.u64(cutter_.out_of_order());
-    out.u64(stats_.barriers);
-    // Shard sketches are all drained at a barrier and backpressure_waits is
-    // a transient liveness counter, so the serial engine blob is the only
-    // nested payload.
-    const std::vector<std::uint8_t> serial = serial_.save_state();
-    out.u64(serial.size());
-    bytes.insert(bytes.end(), serial.begin(), serial.end());
-    return bytes;
+    return serial_.save_state();
   }
 
   void restore_state(const std::vector<std::uint8_t>& bytes) {
-    StateReader in(bytes, "parallel front-end state");
-    const std::uint64_t version = in.u64();
-    if (version != kFrontendStateVersion) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kBadVersion,
-          "parallel front-end state version " + std::to_string(version) +
-              " is not the supported version " +
-              std::to_string(kFrontendStateVersion));
-    }
-    const bool started = in.u64() != 0;
-    const double start_s = in.f64();
-    const double high_water_s = in.f64();
+    serial_.restore_state(bytes);
+    // The engine is the one holder of stream state; the producer's cutter
+    // and counters resume from it.
+    const core::StreamPosition position = serial_.position();
+    const core::PipelineStats engine = serial_.stats();
+    cutter_.restore(position.started, position.next_interval_start_s,
+                    config_.interval_s, position.high_water_s,
+                    engine.out_of_order_records);
+    late_at_cut_ = engine.out_of_order_records;
     stats_ = ParallelStats{};
-    stats_.records = in.u64();
-    cutter_.restore(started, start_s, config_.interval_s, high_water_s,
-                    in.u64());
-    stats_.barriers = static_cast<std::size_t>(in.u64());
-    const std::uint64_t serial_size = in.u64();
-    if (in.remaining() < serial_size) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kTruncated,
-          "parallel front-end state ends inside the serial engine blob");
-    }
-    if (in.remaining() > serial_size) {
-      throw sketch::SerializeError(
-          sketch::SerializeErrorKind::kTrailingBytes,
-          "parallel front-end state has trailing bytes after the serial "
-          "engine blob");
-    }
-    const auto serial = in.take(in.remaining());
-    serial_.restore_state({serial.begin(), serial.end()});
+    stats_.records = engine.records;
+    stats_.barriers = position.interval_index;
     records_since_barrier_ = 0;
     for (Chunk& chunk : pending_) chunk.clear();
-    common::MutexLock lock(close_mutex_);
-    pending_closes_.clear();
-  }
-
-  [[nodiscard]] core::StreamPosition position() const noexcept {
-    core::StreamPosition p = serial_.position();
-    if (active_close_.has_value()) {
-      // Interval-close-callback context (merger thread): report the closed
-      // interval's boundary, not the producer's live clock.
-      p.started = true;
-      p.next_interval_start_s = active_close_->start_s + config_.interval_s;
-      p.high_water_s = std::max(p.high_water_s, active_close_->last_time);
-      return p;
-    }
-    p.started = cutter_.started();
-    p.next_interval_start_s = cutter_.start_s();
-    p.high_water_s = std::max(p.high_water_s, cutter_.high_water_s());
-    return p;
   }
 
   core::PipelineConfig config_;
@@ -317,94 +215,46 @@ class ParallelPipeline::Impl {
     pending_[shard].reserve(parallel_.batch_size);
   }
 
-  /// Front-end position captured when an interval is closed, consumed by
-  /// the merger when that interval's merge lands. Snapshot-at-close
-  /// semantics: `records` and `last_time` are the producer's counters at
-  /// the moment of the close, so a checkpoint cut from the interval-close
-  /// callback serializes exactly what a synchronous close would have.
-  struct PendingClose {
-    double start_s = 0.0;
-    std::uint64_t interval_index = 0;
-    double last_time = 0.0;
-    std::uint64_t records = 0;
-    std::uint64_t out_of_order = 0;
-  };
-
   void close_interval() {
     // The span now covers only the epoch stamp, not the merge: a wide
     // "interval_close_barrier" next to a short "barrier_combine" reads as
     // producer-side backpressure (max_pending_intervals reached).
     SCD_TRACE_SPAN("interval_close_barrier", "ingest");
     for (std::size_t i = 0; i < pending_.size(); ++i) flush_chunk(i);
-    PendingClose close;
-    close.start_s = cutter_.start_s();
-    // 0-based index of the interval being closed; stats_.barriers survives
-    // save_state/restore_state, so a restored node keeps numbering where the
-    // snapshot left off.
-    close.interval_index = stats_.barriers;
-    close.last_time = cutter_.high_water_s();
-    close.records = stats_.records;
-    close.out_of_order = cutter_.out_of_order();
-    {
-      common::MutexLock lock(close_mutex_);
-      pending_closes_.push_back(close);
-    }
+    // The cut rides the epoch token to the merger and into the engine, so
+    // the engine's position after this interval is the serial pipeline's.
+    const EpochCut cut{cutter_.start_s(), config_.interval_s,
+                       cutter_.high_water_s(),
+                       cutter_.out_of_order() - late_at_cut_};
+    late_at_cut_ = cutter_.out_of_order();
     ++stats_.barriers;
     cutter_.advance(config_.interval_s);
     records_since_barrier_ = 0;
-    // Stamp the epoch AFTER the PendingClose is queued — the merger may
-    // consume the epoch immediately and must find its close on the ledger.
     // May block on max_pending_intervals; rethrows a pending merge failure.
-    shards_->close_epoch();
+    shards_->close_epoch(cut);
   }
 
-  /// Merger-thread consumer of one merged epoch. Epochs arrive in close
-  /// order, so the front of the pending-close ledger is always this
-  /// epoch's. Runs the aggregation-tier ordering contract sequentially:
-  /// ship (interval-batch tap) → serial ingest → checkpoint
-  /// (interval-close callback) — docs/DISTRIBUTED.md.
-  void handle_merged(std::uint64_t epoch, core::IntervalBatch&& batch) {
-    (void)epoch;  // == interval ordinal since construction; ledger is FIFO
-    PendingClose close;
-    {
-      common::MutexLock lock(close_mutex_);
-      close = pending_closes_.front();
-    }
-    batch.start_s = close.start_s;
-    batch.len_s = config_.interval_s;
-    // Visible to save_state()/position() re-entered from the callbacks
-    // below; cleared before the ledger pop, so a producer that sees an
-    // empty ledger can never observe it mid-write.
-    active_close_ = close;
+  /// Merger-thread consumer of one merged epoch, in close order. Runs the
+  /// aggregation-tier ordering contract sequentially: ship (interval-batch
+  /// tap) → serial ingest, whose last act is the interval-close callback
+  /// (checkpoint) — docs/DISTRIBUTED.md.
+  void handle_merged(core::IntervalBatch&& batch) {
     // Export tap BEFORE the serial ingest: the shipper must see the batch
     // while it is still intact, and ship-then-ingest-then-checkpoint is the
     // ordering the rejoin protocol relies on (docs/DISTRIBUTED.md).
-    if (on_interval_batch_) on_interval_batch_(close.interval_index, batch);
-    serial_.ingest_interval(std::move(batch));
-    // Fires with this interval fully ingested: save_state() from the
-    // callback captures serial-equivalent state for the closed interval.
-    if (on_interval_close_) {
-      on_interval_close_(static_cast<std::size_t>(close.interval_index) + 1);
+    if (on_interval_batch_) {
+      on_interval_batch_(serial_.position().interval_index, batch);
     }
-    active_close_.reset();
-    common::MutexLock lock(close_mutex_);
-    pending_closes_.pop_front();
+    serial_.ingest_interval(std::move(batch));
   }
 
+  // Producer-thread state. The cutter bins records ahead of the merger;
+  // late_at_cut_ is its out-of-order count at the last cut.
   std::vector<Chunk> pending_;  // per-shard producer-side batches
   core::IntervalCutter cutter_;
+  std::uint64_t late_at_cut_ = 0;
   std::uint64_t records_since_barrier_ = 0;
   ParallelStats stats_;
-  // Closed-but-unmerged interval ledger: producer pushes at close, the
-  // merger pops after the interval is fully consumed (callbacks included).
-  // An empty ledger + records_since_barrier_ == 0 means quiescent.
-  mutable common::Mutex close_mutex_;
-  std::deque<PendingClose> pending_closes_ SCD_GUARDED_BY(close_mutex_);
-  // Set only by the merger thread around the interval callbacks; read by
-  // save_state()/position() re-entered from those callbacks (same thread).
-  // Producer-side readers are excluded by the empty-ledger check above.
-  std::optional<PendingClose> active_close_;
-  std::function<void(std::size_t)> on_interval_close_;
   std::function<void(std::uint64_t, const core::IntervalBatch&)>
       on_interval_batch_;
 };
@@ -451,7 +301,7 @@ void ParallelPipeline::set_alarm_provenance_callback(
 
 void ParallelPipeline::set_interval_close_callback(
     std::function<void(std::size_t)> callback) {
-  impl_->set_interval_close_callback(std::move(callback));
+  impl_->serial_.set_interval_close_callback(std::move(callback));
 }
 
 void ParallelPipeline::set_interval_batch_callback(
@@ -468,11 +318,11 @@ void ParallelPipeline::restore_state(const std::vector<std::uint8_t>& bytes) {
 }
 
 core::StreamPosition ParallelPipeline::position() const noexcept {
-  return impl_->position();
+  return impl_->serial_.position();
 }
 
 core::PipelineStats ParallelPipeline::stats() const noexcept {
-  return impl_->stats();
+  return impl_->serial_.stats();
 }
 
 ParallelStats ParallelPipeline::parallel_stats() const noexcept {

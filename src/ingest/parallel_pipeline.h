@@ -27,6 +27,12 @@
 // (interval, key) equals the serial pipeline's; register values agree up to
 // floating-point addition order within each register (bit-exact when
 // updates are integer-valued).
+//
+// State: the serial engine is the one holder of stream state. The producer
+// bins records with its own cutter and stamps each interval's cut (bounds,
+// high-water mark, late records) into the epoch token; the merged batch
+// carries it into the engine. Position, counters and snapshots are the
+// engine's, so a snapshot is an engine snapshot.
 #pragma once
 
 #include <cstdint>
@@ -136,40 +142,38 @@ class ParallelPipeline {
   void set_interval_batch_callback(
       std::function<void(std::uint64_t, const core::IntervalBatch&)> callback);
 
-  /// Invoked once per closed interval, after the merged batch has been
-  /// ingested by the serial stages — the point where the pipeline state
-  /// visible to save_state() is serial-equivalent for that interval.
+  /// The serial engine's interval-close callback: invoked once per closed
+  /// interval, as the last act of ingesting its merged batch — the point
+  /// where save_state() captures exactly that interval's boundary.
   /// Checkpointing layers hook here; the argument is the number of
   /// intervals closed so far. Runs on the merger thread, in interval order.
-  /// Distinct from the serial engine's own interval-close callback, which
-  /// would fire before the front-end position advanced.
   void set_interval_close_callback(std::function<void(std::size_t)> callback);
 
-  /// Serializes front-end position and counters plus the full serial-engine
-  /// snapshot. Only legal at an interval boundary: from the interval-close
-  /// callback (where it captures exactly the just-ingested interval's
-  /// position, even though the producer may already be filling later
-  /// epochs), after flush(), or before the first record. Throws
-  /// std::logic_error when records have been accepted since the last close
-  /// or closed intervals are still being merged. Worker count and queue
-  /// sizing are NOT part of the state — a snapshot restores into a
-  /// ParallelPipeline with any ParallelConfig, or even into a plain serial
-  /// feed of the same PipelineConfig.
+  /// The serial engine's snapshot (ChangeDetectionPipeline::save_state).
+  /// Only legal at an interval boundary: from the interval-close callback
+  /// (the engine then sits at that interval's boundary even though the
+  /// producer may already be filling later epochs), after flush(), or
+  /// before the first record. Throws std::logic_error when records have been
+  /// accepted since the last close or closed intervals are still being
+  /// merged. Worker count and queue sizing are NOT part of the state — a
+  /// snapshot restores into a ParallelPipeline with any ParallelConfig, or
+  /// even into a plain serial feed of the same PipelineConfig.
   [[nodiscard]] std::vector<std::uint8_t> save_state() const;
 
-  /// Restores a save_state() stream. Same contract as
-  /// ChangeDetectionPipeline::restore_state: the pipeline must be freshly
-  /// constructed with the same PipelineConfig, callbacks are installed
-  /// after; throws sketch::SerializeError on malformed input or config
-  /// mismatch.
+  /// Restores a save_state() stream — from either pipeline — into the
+  /// engine and resumes the producer's cutter and counters from it. Same
+  /// contract as ChangeDetectionPipeline::restore_state: the pipeline must be
+  /// freshly constructed with the same PipelineConfig, callbacks are
+  /// installed after; throws sketch::SerializeError on malformed input or
+  /// config mismatch.
   void restore_state(const std::vector<std::uint8_t>& bytes);
 
-  /// Current stream position; after restore_state, tells the feeder where
-  /// to resume.
+  /// The engine's stream position: it advances as merged intervals are
+  /// ingested. After restore_state, tells the feeder where to resume.
   [[nodiscard]] core::StreamPosition position() const noexcept;
 
-  /// Core counters (records, alarms, ...) with out_of_order_records folded
-  /// in from the front-end.
+  /// The engine's counters (records, alarms, late records, ...) over the
+  /// intervals ingested so far.
   [[nodiscard]] core::PipelineStats stats() const noexcept;
   [[nodiscard]] ParallelStats parallel_stats() const noexcept;
 

@@ -10,20 +10,21 @@
 //     at the epoch boundary reproduces the serial pipeline's key set exactly.
 //
 // Interval close is epoch-based and asynchronous (docs/PERFORMANCE.md): the
-// producer stamps one epoch-tagged token per queue after the interval's
-// records and returns immediately; each worker, on seeing the token,
-// publishes its finished sketch and key buffer for that epoch and starts
-// the next epoch on a fresh sketch drawn from a shared pool (the merger
-// recycles consumed sketches back, so steady state is double-buffered with
-// no allocation). A dedicated merger thread waits until all W shards have
-// published epoch e, COMBINE-merges the handoffs in shard order, and hands
-// the merged IntervalBatch to the owner's callback — epochs are merged and
-// delivered strictly in order, off the ingest hot path. Workers therefore
-// never stall at an interval boundary; the only producer-side wait is the
-// max_outstanding backpressure cap. Sketch linearity makes the merge exact
-// — the merged table equals the serial pipeline's table up to
-// floating-point addition order within each register, and the fixed shard
-// order keeps it bit-identical run to run.
+// producer stamps one epoch-tagged token per queue after the interval's records
+// and returns immediately. The token carries the producer's cut of the interval
+// (EpochCut: bounds and out-of-order state), which rides through the handoff
+// into the merged IntervalBatch. Each worker, on seeing the token, publishes
+// its finished sketch and key buffer for that epoch and starts the next epoch
+// on a fresh sketch drawn from a shared pool (the merger recycles consumed
+// sketches back, so steady state is double-buffered with no allocation). A
+// dedicated merger thread waits until all W shards have published epoch e,
+// COMBINE-merges the handoffs in shard order, and hands the merged
+// IntervalBatch to the owner's callback — epochs are merged and delivered
+// strictly in order, off the ingest hot path. Workers therefore never stall at
+// an interval boundary; the only producer-side wait is the max_outstanding
+// backpressure cap. Sketch linearity makes the merge exact — the merged table
+// equals the serial pipeline's table up to floating-point addition order within
+// each register, and the fixed shard order keeps it bit-identical run to run.
 //
 // Locking contract (docs/CONCURRENCY.md): epoch_mutex_ guards the per-shard
 // publish deques and the epoch counters; publish/collect go through the
@@ -65,6 +66,16 @@ using Record = sketch::Record;
 /// Producer-side batch: the queue is locked once per chunk, not per record.
 using Chunk = std::vector<Record>;
 
+/// The producer's cut of one interval: its bounds, and the stream's
+/// high-water mark and late-record count for it. Stamped into the epoch's
+/// barrier tokens and copied into the merged IntervalBatch.
+struct EpochCut {
+  double start_s = 0.0;
+  double len_s = 0.0;
+  double high_water_s = 0.0;
+  std::uint64_t late_records = 0;
+};
+
 struct ShardMessage {
   Chunk records;
   bool barrier = false;
@@ -72,6 +83,7 @@ struct ShardMessage {
   /// stamps tokens with consecutive epochs, so each worker's published
   /// handoffs are in epoch order by construction.
   std::uint64_t epoch = 0;
+  EpochCut cut;  // barrier tokens only
 };
 
 /// Type-erased interface so ParallelPipeline can hold either family's shard
@@ -79,7 +91,8 @@ struct ShardMessage {
 class ShardSetBase {
  public:
   /// Merged-epoch delivery: (epoch, batch), invoked on the merger thread in
-  /// strict epoch order.
+  /// strict epoch order. The batch's buffers are reused for the next epoch;
+  /// a callback may move from it.
   using MergedBatchCallback =
       std::function<void(std::uint64_t, core::IntervalBatch&&)>;
 
@@ -94,12 +107,16 @@ class ShardSetBase {
   virtual void begin_async(MergedBatchCallback on_merged,
                            std::size_t max_outstanding) = 0;
   /// Closes the current epoch without waiting for the merge: stamps one
-  /// epoch-tagged token per shard queue and returns. Rethrows a pending
-  /// merger failure (a callback throw) on the calling thread.
-  virtual void close_epoch() = 0;
+  /// epoch-tagged token carrying `cut` per shard queue and returns. Rethrows
+  /// a pending merger failure (a callback throw) on the calling thread.
+  virtual void close_epoch(const EpochCut& cut = {}) = 0;
   /// Blocks until every closed epoch has been merged and delivered.
   /// Rethrows a pending merger failure.
   virtual void drain() = 0;
+  /// True when every closed epoch has been merged and delivered.
+  [[nodiscard]] virtual bool idle() const = 0;
+  /// True on the merger thread, i.e. inside the merged-batch callback.
+  [[nodiscard]] virtual bool on_merger_thread() const noexcept = 0;
   /// Closes all queues and joins the workers (and merger). Idempotent.
   /// Closed-but-unmerged epochs are discarded, like in-flight records.
   virtual void stop() = 0;
@@ -139,7 +156,8 @@ class ShardSet final : public ShardSetBase {
            IngestInstruments* instruments)
       : family_(std::make_shared<const Family>(seed, h)),
         k_(k),
-        instruments_(instruments) {
+        instruments_(instruments),
+        merged_(family_, k) {
     shards_.reserve(worker_count);
     for (std::size_t i = 0; i < worker_count; ++i) {
       shards_.push_back(std::make_unique<Shard>(queue_chunks));
@@ -154,7 +172,7 @@ class ShardSet final : public ShardSetBase {
   void submit(std::size_t shard, Chunk&& chunk) override {
     BoundedQueue<ShardMessage>& queue = shards_[shard]->queue;
     const auto n = static_cast<double>(chunk.size());
-    ShardMessage msg{std::move(chunk), false, 0};
+    ShardMessage msg{std::move(chunk), false, 0, {}};
     if (instruments_ != nullptr) instruments_->queue_records.add(n);
     if (!queue.try_push(msg)) {
       // mo: stats counter — single producer writes, any thread may read
@@ -184,7 +202,8 @@ class ShardSet final : public ShardSetBase {
     merger_ = std::thread([this] { run_merger(); });
   }
 
-  void close_epoch() SCD_EXCLUDES(epoch_mutex_) override {
+  void close_epoch(const EpochCut& cut = {})
+      SCD_EXCLUDES(epoch_mutex_) override {
     {
       common::MutexLock lock(epoch_mutex_);
       rethrow_merge_error_locked();
@@ -196,7 +215,7 @@ class ShardSet final : public ShardSetBase {
       }
       rethrow_merge_error_locked();
     }
-    stamp_epoch_tokens();
+    stamp_epoch_tokens(cut);
   }
 
   void drain() SCD_EXCLUDES(epoch_mutex_) override {
@@ -205,6 +224,16 @@ class ShardSet final : public ShardSetBase {
       epoch_cv_.wait(epoch_mutex_);
     }
     rethrow_merge_error_locked();
+  }
+
+  [[nodiscard]] bool idle() const SCD_EXCLUDES(epoch_mutex_) override {
+    common::MutexLock lock(epoch_mutex_);
+    return epochs_merged_ == epochs_closed_;
+  }
+
+  [[nodiscard]] bool on_merger_thread() const noexcept override {
+    // merger_ is assigned once, before the first epoch can close.
+    return std::this_thread::get_id() == merger_.get_id();
   }
 
   void stop() SCD_EXCLUDES(epoch_mutex_) override {
@@ -244,6 +273,7 @@ class ShardSet final : public ShardSetBase {
   /// interval's distinct keys, and the record count.
   struct EpochHandoff {
     std::uint64_t epoch = 0;
+    EpochCut cut;
     std::optional<Sketch> sketch;
     std::vector<std::uint64_t> keys;
     std::uint64_t records = 0;
@@ -263,14 +293,14 @@ class ShardSet final : public ShardSetBase {
 
   /// Stamps one epoch-tagged barrier token per shard queue and advances the
   /// closed-epoch counter. Producer thread only.
-  void stamp_epoch_tokens() SCD_EXCLUDES(epoch_mutex_) {
+  void stamp_epoch_tokens(const EpochCut& cut) SCD_EXCLUDES(epoch_mutex_) {
     std::uint64_t epoch = 0;
     {
       common::MutexLock lock(epoch_mutex_);
       epoch = epochs_closed_++;
     }
     for (auto& shard : shards_) {
-      ShardMessage token{{}, true, epoch};
+      ShardMessage token{{}, true, epoch, cut};
       shard->queue.push(token);
     }
   }
@@ -307,37 +337,41 @@ class ShardSet final : public ShardSetBase {
     if (merge_error_ != nullptr) std::rethrow_exception(merge_error_);
   }
 
-  /// COMBINE-merges one epoch's W handoffs in shard order and concatenates
-  /// the key buffers; recycles the consumed sketches into the pool. Runs
-  /// with no lock held — the handoffs were moved out under epoch_mutex_.
-  [[nodiscard]] core::IntervalBatch merge_epoch(
-      std::vector<EpochHandoff> handoffs) SCD_EXCLUDES(epoch_mutex_) {
+  /// COMBINE-merges one epoch's W handoffs in shard order into batch_ and
+  /// concatenates the key buffers; recycles the consumed sketches into the
+  /// pool. Merger thread only, with no lock held — the handoffs were moved
+  /// out under epoch_mutex_. merged_ and batch_ keep their buffers from
+  /// epoch to epoch, so a steady-state merge allocates no table.
+  void merge_epoch(std::vector<EpochHandoff> handoffs)
+      SCD_EXCLUDES(epoch_mutex_) {
     const obs::StageTimer timer(
         instruments_ != nullptr ? &instruments_->merge_seconds : nullptr,
         "barrier_combine", "ingest");
     // COMBINE(1, S_0, ..., 1, S_{W-1}) in shard order — fixed order keeps
     // the merged registers bit-identical run to run.
-    std::vector<const Sketch*> parts;
-    parts.reserve(handoffs.size());
-    for (auto& handoff : handoffs) parts.push_back(&*handoff.sketch);
-    const std::vector<double> coeffs(handoffs.size(), 1.0);
-    const Sketch merged = Sketch::combine(coeffs, parts);
+    merged_.set_zero();
+    for (auto& handoff : handoffs) merged_.add_scaled(*handoff.sketch, 1.0);
 
-    core::IntervalBatch batch;
-    batch.registers.assign(merged.registers().begin(),
-                           merged.registers().end());
+    const EpochCut& cut = handoffs.front().cut;
+    batch_.start_s = cut.start_s;
+    batch_.len_s = cut.len_s;
+    batch_.high_water_s = cut.high_water_s;
+    batch_.late_records = cut.late_records;
+    batch_.registers.assign(merged_.registers().begin(),
+                            merged_.registers().end());
     if constexpr (kHasVoteState) {
-      batch.mv_candidates.assign(merged.candidates().begin(),
-                                 merged.candidates().end());
-      batch.mv_votes.assign(merged.votes().begin(), merged.votes().end());
+      batch_.mv_candidates.assign(merged_.candidates().begin(),
+                                  merged_.candidates().end());
+      batch_.mv_votes.assign(merged_.votes().begin(), merged_.votes().end());
     }
+    batch_.records = 0;
+    batch_.keys.clear();
     for (auto& handoff : handoffs) {
-      batch.records += handoff.records;
-      batch.keys.insert(batch.keys.end(), handoff.keys.begin(),
-                        handoff.keys.end());
+      batch_.records += handoff.records;
+      batch_.keys.insert(batch_.keys.end(), handoff.keys.begin(),
+                         handoff.keys.end());
     }
     recycle_sketches(std::move(handoffs));
-    return batch;
   }
 
   /// Returns consumed handoff sketches to the pool, zeroed, so workers
@@ -386,8 +420,8 @@ class ShardSet final : public ShardSetBase {
       }
       const std::uint64_t epoch = handoffs.front().epoch;
       try {
-        core::IntervalBatch batch = merge_epoch(std::move(handoffs));
-        on_merged_(epoch, std::move(batch));
+        merge_epoch(std::move(handoffs));
+        on_merged_(epoch, std::move(batch_));
       } catch (...) {
         common::MutexLock lock(epoch_mutex_);
         merge_error_ = std::current_exception();
@@ -428,6 +462,7 @@ class ShardSet final : public ShardSetBase {
       if (msg->barrier) {
         EpochHandoff handoff;
         handoff.epoch = msg->epoch;
+        handoff.cut = msg->cut;
         handoff.sketch.emplace(std::move(sketch));
         if constexpr (!kRecovers) {
           handoff.keys.assign(keys.begin(), keys.end());
@@ -474,12 +509,16 @@ class ShardSet final : public ShardSetBase {
   // (docs/CONCURRENCY.md lock-order table); in practice neither path nests
   // them today, but the declared order is the one any future nesting must
   // follow.
-  common::Mutex epoch_mutex_ SCD_ACQUIRED_BEFORE(pool_mutex_);
+  mutable common::Mutex epoch_mutex_ SCD_ACQUIRED_BEFORE(pool_mutex_);
   common::CondVar epoch_cv_;
   std::uint64_t epochs_closed_ SCD_GUARDED_BY(epoch_mutex_) = 0;
   std::uint64_t epochs_merged_ SCD_GUARDED_BY(epoch_mutex_) = 0;
   bool stopping_ SCD_GUARDED_BY(epoch_mutex_) = false;
   std::exception_ptr merge_error_ SCD_GUARDED_BY(epoch_mutex_);
+  // Merger-thread scratch, reused every epoch: the COMBINE target and the
+  // batch handed to on_merged_.
+  Sketch merged_;
+  core::IntervalBatch batch_;
   // Recycled zeroed sketches (double buffering): merger refills, workers
   // draw at each epoch boundary.
   common::Mutex pool_mutex_;

@@ -134,7 +134,7 @@ TEST(FaultInjection, WriteFailureIsTypedWhenCalledDirectly) {
   options.file_ops = &injector;
   CheckpointWriter writer(options, config);
   try {
-    writer.write(PayloadKind::kSerial, 1, {1, 2, 3});
+    writer.write(1, {1, 2, 3});
     FAIL() << "expected CheckpointError";
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.checkpoint_kind(), CheckpointErrorKind::kWriteFailed);
