@@ -6,7 +6,9 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 
+#include "common/atomic_file.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/strutil.h"
@@ -139,12 +141,18 @@ bool load_config(const std::string& path, forecast::ModelKind kind,
   return true;
 }
 
+/// Written atomically: figure benches running in parallel share the cache,
+/// and a reader must never parse a half-written number.
 void save_config(const std::string& path, const forecast::ModelConfig& c) {
-  std::ofstream out(path);
+  std::ostringstream out;
   out << static_cast<int>(c.kind) << ' ' << c.window << ' ' << c.alpha << ' '
       << c.beta << ' ' << c.gamma << ' ' << c.period << ' ' << c.arima.p << ' '
       << c.arima.d << ' ' << c.arima.q << ' ' << c.arima.ar[0] << ' '
       << c.arima.ar[1] << ' ' << c.arima.ma[0] << ' ' << c.arima.ma[1] << '\n';
+  std::string error;
+  if (!common::write_file_atomic(path, out.str(), error)) {
+    SCD_WARN() << "params cache: " << error;
+  }
 }
 
 }  // namespace

@@ -53,6 +53,37 @@ scd_add_bench(bench_ext_scan_detection)
 scd_add_bench(bench_obs_overhead)
 scd_add_bench(bench_parallel_ingest)
 
+# The paper-figure gate (ctest label `repro`): each figure bench and the
+# estimator-quality appendix runs as a test that fails on a non-zero exit or
+# on any "CHECK ...: FAIL" line. They share one trace/parameter cache inside
+# the build tree, written atomically, so `ctest -j` may race on filling it.
+set(SCD_REPRO_BENCHES
+  bench_fig01_relative_difference_cdf
+  bench_fig02_vary_h
+  bench_fig03_vary_k
+  bench_fig04_similarity_over_time
+  bench_fig05_similarity_vs_k
+  bench_fig06_topxn
+  bench_fig07_vary_h_topn
+  bench_fig08_medium_router
+  bench_fig09_arima_similarity
+  bench_fig10_threshold_60s
+  bench_fig11_threshold_300s
+  bench_fig12_fn_ewma_nshw
+  bench_fig13_fn_arima
+  bench_fig14_fp_ewma_nshw
+  bench_fig15_fp_arima
+  bench_appendix_estimator_quality
+)
+foreach(bench IN LISTS SCD_REPRO_BENCHES)
+  add_test(NAME repro.${bench} COMMAND ${bench})
+  set_tests_properties(repro.${bench} PROPERTIES
+    LABELS repro
+    ENVIRONMENT "SCD_TRACE_DIR=${CMAKE_BINARY_DIR}/repro_traces"
+    FAIL_REGULAR_EXPRESSION "CHECK [^\n]*: FAIL"
+    TIMEOUT 900)
+endforeach()
+
 # The compiled-out overhead baseline: rebuild the core pipeline translation
 # units with SCD_OBS_ENABLED=0 so instrumentation vanishes from the binary,
 # then link the bench against that library INSTEAD of scd_core (linking both

@@ -3,8 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
+#include <string>
 
 namespace scd::common {
 
@@ -80,9 +83,17 @@ void remove_file_quiet(const std::filesystem::path& path) noexcept {
   std::filesystem::remove(path, ec);
 }
 
+std::filesystem::path temp_sibling(const std::filesystem::path& path) {
+  static std::atomic<std::uint64_t> counter{0};
+  // mo: a uniqueness ticket; nothing else is ordered by it.
+  const std::uint64_t n = counter.fetch_add(1, std::memory_order_relaxed);
+  return path.string() + "." + std::to_string(::getpid()) + "-" +
+         std::to_string(n) + ".tmp";
+}
+
 bool write_file_atomic(const std::filesystem::path& path,
                        std::string_view data, std::string& error) {
-  const std::filesystem::path temp = path.string() + ".tmp";
+  const std::filesystem::path temp = temp_sibling(path);
   if (!write_file_durable(temp, data.data(), data.size(), error)) {
     remove_file_quiet(temp);
     return false;

@@ -37,10 +37,17 @@ namespace scd::common {
 /// Best-effort unlink; never throws (cleanup paths must tolerate ENOENT).
 void remove_file_quiet(const std::filesystem::path& path) noexcept;
 
-/// The full atomic-write recipe: temp sibling ("<path>.tmp") + durable write
-/// + durable rename. On failure the temp file is removed, `error` is filled
-/// and false is returned; `path` then still holds its previous contents (or
-/// remains absent).
+/// A temp sibling of `path` that no other writer of `path` uses at the same
+/// time, thread or process: "<path>.<pid>-<n>.tmp". Concurrent writers of
+/// one path (parallel test processes filling a shared cache) then never
+/// write into each other's temp file, and the last rename wins whole.
+[[nodiscard]] std::filesystem::path temp_sibling(
+    const std::filesystem::path& path);
+
+/// The full atomic-write recipe: temp sibling (temp_sibling) + durable
+/// write + durable rename. On failure the temp file is removed, `error` is
+/// filled and false is returned; `path` then still holds its previous
+/// contents (or remains absent).
 [[nodiscard]] bool write_file_atomic(const std::filesystem::path& path,
                                      std::string_view data,
                                      std::string& error);

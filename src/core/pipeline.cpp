@@ -6,15 +6,16 @@
 #include <cmath>
 #include <deque>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/little_endian.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/interval_cutter.h"
+#include "core/key_set.h"
 #include "detect/detection.h"
 #include "detect/provenance.h"
 #include "forecast/runner.h"
@@ -483,7 +484,9 @@ class Engine final : public EngineBase {
       observed_.load_aux(batch.mv_candidates, batch.mv_votes);
     }
     if constexpr (!kRecovers) {
-      keys_.insert(batch.keys.begin(), batch.keys.end());
+      // Shard key lists are disjoint, but the aggregation tier concatenates
+      // overlapping node lists: dedupe once here.
+      keys_.insert(batch.keys);
     }
     records_in_interval_ = batch.records;
     stats_.records += batch.records;
@@ -750,7 +753,7 @@ class Engine final : public EngineBase {
     if (config_.replay == KeyReplayMode::kNextInterval) {
       // This interval's keys detect the *previous* interval's changes.
       if (pending_.has_value()) {
-        emit_pending(std::vector<std::uint64_t>(keys_.begin(), keys_.end()));
+        emit_pending(keys_.keys());
       }
       if (step.has_value()) {
         Pending p{std::move(step->error), std::move(step->forecast), 0.0,
@@ -770,8 +773,7 @@ class Engine final : public EngineBase {
         const double est_f2 = timed(obs::Stage::kEstimateF2, [&step] {
           return step->error.estimate_f2();
         });
-        fill_detection(step->error, &step->forecast, est_f2,
-                       std::vector<std::uint64_t>(keys_.begin(), keys_.end()),
+        fill_detection(step->error, &step->forecast, est_f2, keys_.keys(),
                        report);
       }
       emit_(std::move(report));
@@ -797,7 +799,7 @@ class Engine final : public EngineBase {
     if (on_interval_close_) on_interval_close_(stats_.intervals_closed);
   }
 
-  void emit_pending(const std::vector<std::uint64_t>& keys) {
+  void emit_pending(std::span<const std::uint64_t> keys) {
     Pending p = std::move(*pending_);
     pending_.reset();
     fill_detection(p.error, &p.forecast, p.est_f2, keys, p.report);
@@ -805,7 +807,7 @@ class Engine final : public EngineBase {
   }
 
   void fill_detection(const Sketch& error, const Sketch* forecast,
-                      double est_f2, const std::vector<std::uint64_t>& keys,
+                      double est_f2, std::span<const std::uint64_t> keys,
                       IntervalReport& report) {
     report.keys_checked = keys.size();
     report.estimated_error_f2 = est_f2;
@@ -855,8 +857,19 @@ class Engine final : public EngineBase {
         obs_->recovery_last_keys.set(static_cast<double>(recovered.size()));
       }
     } else {
-      ranked = detect::rank_by_abs_error(
-          keys, [&error](std::uint64_t key) { return error.estimate(key); });
+      // Threshold-first replay: batched ESTIMATE, and only the keys the
+      // criterion can report are kept and sorted.
+      const auto estimate = [&error](std::span<const std::uint64_t> batch,
+                                     std::span<double> out) {
+        error.estimate_batch(batch, out);
+      };
+      if (config_.criterion == DetectionCriterion::kTopN) {
+        ranked = detect::rank_top_n(keys, estimate,
+                                    config_.max_alarms_per_interval);
+      } else {
+        ranked = detect::rank_above_threshold(keys, estimate,
+                                              config_.threshold, l2);
+      }
     }
     auto flagged =
         config_.criterion == DetectionCriterion::kTopN
@@ -978,7 +991,9 @@ class Engine final : public EngineBase {
   bool interval_open_ = false;
   std::size_t interval_index_ = 0;
   std::uint64_t records_in_interval_ = 0;
-  std::unordered_set<std::uint64_t> keys_;
+  /// The open interval's distinct replay keys (never filled when
+  /// kRecovers).
+  KeySet keys_;
   std::unordered_map<std::uint64_t, std::size_t> alarm_streaks_;
   double smoothed_f2_ = 0.0;
   bool have_smoothed_f2_ = false;

@@ -149,7 +149,7 @@ struct PipelineStats {
 
 /// One pre-aggregated interval produced by an external ingestion front-end
 /// (src/ingest): the COMBINE-merged register table of the observed sketch,
-/// the distinct keys seen, and the record count. The registers must come
+/// the keys seen, and the record count. The registers must come
 /// from sketches built with the pipeline's (seed, h, k) — the same hash
 /// family parameters — or every downstream ESTIMATE is garbage.
 struct IntervalBatch {
@@ -168,7 +168,10 @@ struct IntervalBatch {
   std::uint64_t late_records = 0;
   /// Row-major h x k counter table.
   std::vector<double> registers;
-  std::vector<std::uint64_t> keys;  // distinct keys (shard-concatenated)
+  /// Keys seen (shard logs concatenated). May repeat a key — the
+  /// aggregation tier concatenates overlapping node lists — so the engine
+  /// dedupes them before replay.
+  std::vector<std::uint64_t> keys;
   /// kInvertible only: the merged sketch's per-bucket majority-vote state
   /// (h x k each). Empty in every other mode.
   std::vector<std::uint64_t> mv_candidates;

@@ -2,11 +2,14 @@
 //
 // An ErrorSource maps a key to its (estimated or exact) forecast error for
 // the current interval; the two instantiations are the k-ary error sketch's
-// ESTIMATE and a lookup into the per-flow error vector. The detection
+// ESTIMATE and a lookup into the per-flow error vector. A BatchErrorSource
+// fills a block of errors at once (the sketch's estimate_batch); the
+// selections over it keep only what the criterion reports. The detection
 // criteria — top-N ranking and L2-relative thresholding — are shared.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
@@ -22,15 +25,26 @@ concept ErrorSource = requires(const F f, std::uint64_t key) {
   { f(key) } -> std::convertible_to<double>;
 };
 
+/// A batched error source: fills out[j] with the error of keys[j] (the
+/// k-ary error sketch's estimate_batch).
+template <typename F>
+concept BatchErrorSource = requires(const F f, std::span<double> out) {
+  f(std::span<const std::uint64_t>{}, out);
+};
+
+/// The ranking order: |error| descending, key ascending on ties — a strict
+/// total order over distinct keys, so every ranking is deterministic.
+[[nodiscard]] inline bool ranks_before(const KeyError& a,
+                                       const KeyError& b) noexcept {
+  const double ea = std::abs(a.error);
+  const double eb = std::abs(b.error);
+  if (ea != eb) return ea > eb;
+  return a.key < b.key;
+}
+
 /// Sorts in-place by |error| descending, key ascending on ties.
 inline void sort_by_abs_error(std::vector<KeyError>& errors) {
-  std::sort(errors.begin(), errors.end(),
-            [](const KeyError& a, const KeyError& b) {
-              const double ea = std::abs(a.error);
-              const double eb = std::abs(b.error);
-              if (ea != eb) return ea > eb;
-              return a.key < b.key;
-            });
+  std::sort(errors.begin(), errors.end(), ranks_before);
 }
 
 /// Evaluates the error of every candidate key; returns pairs sorted by
@@ -60,6 +74,64 @@ template <ErrorSource F>
       ranked.begin(), ranked.end(),
       [cut](const KeyError& e) { return std::abs(e.error) >= cut; });
   return ranked.subspan(0, static_cast<std::size_t>(it - ranked.begin()));
+}
+
+namespace detail {
+
+/// Runs `errors_of` over `keys` in L1-sized blocks and hands each
+/// (key, error) pair to `take`, in key order.
+template <BatchErrorSource F, typename Take>
+void for_each_error(std::span<const std::uint64_t> keys, const F& errors_of,
+                    Take take) {
+  constexpr std::size_t kBlock = 1024;
+  std::array<double, kBlock> errors;
+  for (std::size_t base = 0; base < keys.size(); base += kBlock) {
+    const auto block = keys.subspan(base, std::min(kBlock, keys.size() - base));
+    errors_of(block, std::span<double>(errors.data(), block.size()));
+    for (std::size_t j = 0; j < block.size(); ++j) take(block[j], errors[j]);
+  }
+}
+
+}  // namespace detail
+
+/// Threshold-first ranking: the keys whose |error| >= fraction * l2_norm, in
+/// ranking order. Equals above_threshold(rank_by_abs_error(keys, ...),
+/// fraction, l2_norm) element for element, but keeps only the survivors
+/// while the errors are computed and sorts just those — under the paper's
+/// threshold at most ~1/fraction^2 keys survive, out of every distinct key.
+template <BatchErrorSource F>
+[[nodiscard]] std::vector<KeyError> rank_above_threshold(
+    std::span<const std::uint64_t> keys, const F& errors_of, double fraction,
+    double l2_norm) {
+  const double cut = fraction * l2_norm;
+  std::vector<KeyError> survivors;
+  const auto keep = [&survivors, cut](std::uint64_t key, double error) {
+    if (std::abs(error) >= cut) survivors.push_back({key, error});
+  };
+  detail::for_each_error(keys, errors_of, keep);
+  sort_by_abs_error(survivors);
+  return survivors;
+}
+
+/// Top-n-first ranking: the first min(n, keys.size()) entries of
+/// rank_by_abs_error(keys, ...), element for element, selected with
+/// nth_element so only those n are sorted.
+template <BatchErrorSource F>
+[[nodiscard]] std::vector<KeyError> rank_top_n(
+    std::span<const std::uint64_t> keys, const F& errors_of, std::size_t n) {
+  std::vector<KeyError> ranked;
+  ranked.reserve(keys.size());
+  const auto keep = [&ranked](std::uint64_t key, double error) {
+    ranked.push_back({key, error});
+  };
+  detail::for_each_error(keys, errors_of, keep);
+  if (n < ranked.size()) {
+    const auto nth = ranked.begin() + static_cast<std::ptrdiff_t>(n);
+    std::nth_element(ranked.begin(), nth, ranked.end(), ranks_before);
+    ranked.erase(nth, ranked.end());
+  }
+  sort_by_abs_error(ranked);
+  return ranked;
 }
 
 /// Converts threshold survivors into alarms for interval `interval`.

@@ -1,7 +1,9 @@
 #include "eval/sketch_path.h"
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "detect/detection.h"
 #include "forecast/runner.h"
@@ -38,6 +40,8 @@ SketchPathResult run_path(const IntervalizedStream& stream,
 
   SketchPathResult result;
   result.intervals.resize(stream.num_intervals());
+  std::vector<std::uint64_t> keys;
+  std::vector<double> errors;
   for (std::size_t t = 0; t < stream.num_intervals(); ++t) {
     Sketch observed = prototype;
     stream.fill_observed_sketch(t, observed);
@@ -47,10 +51,15 @@ SketchPathResult run_path(const IntervalizedStream& stream,
     out.ready = true;
     out.est_f2 = step->error.estimate_f2();
     if (options.collect_errors) {
+      // Replay ESTIMATE through the engine's batched kernel.
       const auto updates = stream.interval(t);
-      out.ranked.reserve(updates.size());
-      for (const AggregatedUpdate& u : updates) {
-        out.ranked.push_back({u.key, step->error.estimate(u.key)});
+      keys.clear();
+      for (const AggregatedUpdate& u : updates) keys.push_back(u.key);
+      errors.resize(keys.size());
+      step->error.estimate_batch(keys, errors);
+      out.ranked.reserve(keys.size());
+      for (std::size_t j = 0; j < keys.size(); ++j) {
+        out.ranked.push_back({keys[j], errors[j]});
       }
       detect::sort_by_abs_error(out.ranked);
     }

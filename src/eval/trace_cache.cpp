@@ -3,7 +3,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <stdexcept>
+#include <string>
 
+#include "common/atomic_file.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -49,9 +52,17 @@ const std::vector<traffic::FlowRecord>& load_or_generate_locked(
   auto records = generator.generate();
   SCD_INFO() << "trace cache: generated " << profile.name << " ("
              << records.size() << " records)";
+  // Written to a private temp sibling and renamed into place: another
+  // process filling the same cache must never read a partial trace.
+  const std::filesystem::path temp = common::temp_sibling(path);
   try {
-    traffic::write_trace(path.string(), records);
+    traffic::write_trace(temp.string(), records);
+    std::string error;
+    if (!common::rename_durable(temp, path, error)) {
+      throw std::runtime_error(error);
+    }
   } catch (const std::exception& e) {
+    common::remove_file_quiet(temp);
     SCD_WARN() << "trace cache: persisting " << path.string() << " failed ("
                << e.what() << "); continuing in-memory";
   }

@@ -6,17 +6,17 @@
 // routed to a fixed shard by key, so
 //   * each shard's registers accumulate a deterministic subsequence of the
 //     stream (single producer per queue, FIFO), and
-//   * the per-shard distinct-key buffers are disjoint — concatenating them
-//     at the epoch boundary reproduces the serial pipeline's key set exactly.
+//   * the per-shard distinct-key logs are disjoint — concatenating them at
+//     the epoch boundary reproduces the serial pipeline's key set exactly.
 //
 // Interval close is epoch-based and asynchronous (docs/PERFORMANCE.md): the
 // producer stamps one epoch-tagged token per queue after the interval's records
 // and returns immediately. The token carries the producer's cut of the interval
 // (EpochCut: bounds and out-of-order state), which rides through the handoff
 // into the merged IntervalBatch. Each worker, on seeing the token, publishes
-// its finished sketch and key buffer for that epoch and starts the next epoch
-// on a fresh sketch drawn from a shared pool (the merger recycles consumed
-// sketches back, so steady state is double-buffered with no allocation). A
+// its finished sketch and key log for that epoch and starts the next epoch on a
+// fresh sketch and log buffer drawn from a shared pool (the merger recycles
+// consumed ones back, so steady state is double-buffered with no allocation). A
 // dedicated merger thread waits until all W shards have published epoch e,
 // COMBINE-merges the handoffs in shard order, and hands the merged
 // IntervalBatch to the owner's callback — epochs are merged and delivered
@@ -30,9 +30,9 @@
 // publish deques and the epoch counters; publish/collect go through the
 // SCD_REQUIRES(epoch_mutex_) helpers so a clang -Wthread-safety build
 // rejects an unlocked handoff access. pool_mutex_ guards the recycled
-// sketch pool and is ordered after epoch_mutex_ (never the reverse). The
-// stats counters are relaxed atomics: written by the producer thread,
-// readable from any thread.
+// sketch and key-log pools and is ordered after epoch_mutex_ (never the
+// reverse). The stats counters are relaxed atomics: written by the producer
+// thread, readable from any thread.
 #pragma once
 
 #include <atomic>
@@ -43,13 +43,13 @@
 #include <memory>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/numa.h"
 #include "common/thread_annotations.h"
+#include "core/key_set.h"
 #include "core/pipeline.h"
 #include "ingest/bounded_queue.h"
 #include "ingest/ingest_metrics.h"
@@ -131,7 +131,7 @@ class ShardSetBase {
 /// covers every engine the core pipeline can run: plain k-ary (either
 /// family) and the invertible majority-vote sketch (either family). Sketches
 /// that recover keys from their own state (`recover_heavy_keys`) skip the
-/// per-shard distinct-key buffers entirely — that is the single-pass win —
+/// per-shard distinct-key logs entirely — that is the single-pass win —
 /// and vote-carrying sketches publish their merged candidate/vote arrays
 /// through IntervalBatch::mv_candidates / mv_votes.
 template <typename SketchT>
@@ -270,7 +270,8 @@ class ShardSet final : public ShardSetBase {
 
  private:
   /// One finished epoch from one shard: the worker's parked sketch, the
-  /// interval's distinct keys, and the record count.
+  /// interval's distinct keys (the worker KeySet's log; empty when
+  /// kRecovers), and the record count.
   struct EpochHandoff {
     std::uint64_t epoch = 0;
     EpochCut cut;
@@ -338,10 +339,10 @@ class ShardSet final : public ShardSetBase {
   }
 
   /// COMBINE-merges one epoch's W handoffs in shard order into batch_ and
-  /// concatenates the key buffers; recycles the consumed sketches into the
-  /// pool. Merger thread only, with no lock held — the handoffs were moved
-  /// out under epoch_mutex_. merged_ and batch_ keep their buffers from
-  /// epoch to epoch, so a steady-state merge allocates no table.
+  /// concatenates the key logs; recycles the consumed sketches and logs into
+  /// the pool. Merger thread only, with no lock held — the handoffs were
+  /// moved out under epoch_mutex_. merged_ and batch_ keep their buffers
+  /// from epoch to epoch, so a steady-state merge allocates nothing.
   void merge_epoch(std::vector<EpochHandoff> handoffs)
       SCD_EXCLUDES(epoch_mutex_) {
     const obs::StageTimer timer(
@@ -368,20 +369,22 @@ class ShardSet final : public ShardSetBase {
     batch_.keys.clear();
     for (auto& handoff : handoffs) {
       batch_.records += handoff.records;
-      batch_.keys.insert(batch_.keys.end(), handoff.keys.begin(),
-                         handoff.keys.end());
+      if constexpr (!kRecovers) {
+        batch_.keys.insert(batch_.keys.end(), handoff.keys.begin(),
+                           handoff.keys.end());
+      }
     }
-    recycle_sketches(std::move(handoffs));
+    recycle(std::move(handoffs));
   }
 
-  /// Returns consumed handoff sketches to the pool, zeroed, so workers
-  /// start their next epoch without allocating a fresh table.
-  void recycle_sketches(std::vector<EpochHandoff> handoffs)
-      SCD_EXCLUDES(pool_mutex_) {
+  /// Returns consumed handoff sketches (zeroed) and key logs to the pool,
+  /// so workers start their next epoch without allocating.
+  void recycle(std::vector<EpochHandoff> handoffs) SCD_EXCLUDES(pool_mutex_) {
     common::MutexLock lock(pool_mutex_);
     for (auto& handoff : handoffs) {
       handoff.sketch->set_zero();
       pool_.push_back(std::move(*handoff.sketch));
+      if constexpr (!kRecovers) key_pool_.push_back(std::move(handoff.keys));
     }
   }
 
@@ -398,6 +401,16 @@ class ShardSet final : public ShardSetBase {
       }
     }
     return Sketch(family_, k_);
+  }
+
+  /// A recycled key-log buffer (empty until the first epochs come back).
+  [[nodiscard]] std::vector<std::uint64_t> pooled_key_log()
+      SCD_EXCLUDES(pool_mutex_) {
+    common::MutexLock lock(pool_mutex_);
+    if (key_pool_.empty()) return {};
+    std::vector<std::uint64_t> log = std::move(key_pool_.back());
+    key_pool_.pop_back();
+    return log;
   }
 
   /// Merger thread: merges published epochs strictly in order and delivers
@@ -445,7 +458,7 @@ class ShardSet final : public ShardSetBase {
     Shard& shard = *shards_[index];
     // Worker-local interval state; only the epoch handoff is shared.
     Sketch sketch(family_, k_);
-    std::unordered_set<std::uint64_t> keys;
+    core::KeySet keys;  // never filled when kRecovers
     std::uint64_t records = 0;
     obs::Histogram* apply_hist =
         instruments_ != nullptr ? instruments_->shard_apply_seconds[index]
@@ -465,7 +478,8 @@ class ShardSet final : public ShardSetBase {
         handoff.cut = msg->cut;
         handoff.sketch.emplace(std::move(sketch));
         if constexpr (!kRecovers) {
-          handoff.keys.assign(keys.begin(), keys.end());
+          // The log rides the handoff; the set continues on a recycled one.
+          handoff.keys = keys.take_log(pooled_key_log());
         }
         handoff.records = records;
         {
@@ -476,7 +490,6 @@ class ShardSet final : public ShardSetBase {
         // The worker starts the next epoch immediately — no wait for the
         // merge. The pooled sketch is the async scheme's double buffer.
         sketch = pooled_sketch();
-        keys.clear();
         records = 0;
         continue;
       }
@@ -519,10 +532,12 @@ class ShardSet final : public ShardSetBase {
   // batch handed to on_merged_.
   Sketch merged_;
   core::IntervalBatch batch_;
-  // Recycled zeroed sketches (double buffering): merger refills, workers
-  // draw at each epoch boundary.
+  // Recycled zeroed sketches and emptied key logs (double buffering):
+  // merger refills, workers draw at each epoch boundary.
   common::Mutex pool_mutex_;
   std::vector<Sketch> pool_ SCD_GUARDED_BY(pool_mutex_);
+  std::vector<std::vector<std::uint64_t>> key_pool_
+      SCD_GUARDED_BY(pool_mutex_);
   // Async-mode configuration: written once by begin_async before any epoch
   // closes, read by the producer and merger afterwards.
   MergedBatchCallback on_merged_;

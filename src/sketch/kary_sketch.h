@@ -173,52 +173,20 @@ class BasicKarySketch {
   void update_batch(std::span<const Record> records) noexcept {
     const std::size_t h = depth();
     const std::uint64_t mask = k_ - 1;
-    // Software-prefetch the sweep's target registers only when the row is
-    // bigger than the block covers: then nearly every add lands on a cold
-    // line and the lookahead hides the fetch. For smaller K each line is
-    // revisited ~(kUpdateBlock * 8 / K) times per block and the redundant
-    // prefetches measurably slow the sweep (bench_kernel_throughput).
-    const bool prefetch_rows = k_ >= 8 * kUpdateBlock;
-    const Family& family = *family_;
+    const bool prefetch_rows = prefetch_row_sweeps();
     for (std::size_t base = 0; base < records.size(); base += kUpdateBlock) {
       const std::size_t n = std::min(kUpdateBlock, records.size() - base);
       const Record* block = records.data() + base;
-      if constexpr (requires(const Family f, std::uint32_t k32) {
-                      { f.hash_group(std::size_t{0}, k32) };
-                    }) {
-        // Tabulation fast path: per key, one packed 64-bit lookup per group
-        // of 4 rows, stored group-major as-is; the row sweep shifts its own
-        // 16-bit lane out. Thread-local so the worst-case scratch
-        // (kUpdateBlock x 8 groups x 8 B) never touches the worker stacks.
-        const std::size_t groups = (h + 3) / 4;
-        thread_local std::vector<std::uint64_t> gv_storage;
-        if (gv_storage.size() < groups * kUpdateBlock) {
-          gv_storage.resize(groups * kUpdateBlock);
-        }
-        std::uint64_t* const gv = gv_storage.data();
+      const auto key_at = [block](std::size_t j) { return block[j].key; };
+      if constexpr (kGroupHashing) {
+        // Tabulation fast path: the packed group hashes are stored
+        // group-major as-is; the row sweep shifts its own 16-bit lane out.
+        const std::uint64_t* const gv = hash_block_groups(n, key_at);
         thread_local std::vector<std::uint32_t> idx_storage;
         if (idx_storage.size() < kUpdateBlock) {
           idx_storage.resize(kUpdateBlock);
         }
         std::uint32_t* const idx = idx_storage.data();
-        for (std::size_t j = 0; j < n; ++j) {
-          assert_key_in_domain(block[j].key);
-          // Hash-table lookups are the batched path's dominant cost (the
-          // character tables are MBs, far beyond L1); prefetching a fixed
-          // lead of keys ahead keeps several misses in flight.
-          if constexpr (requires(const Family f, std::uint32_t k32) {
-                          f.prefetch(k32);
-                        }) {
-            if (j + kPrefetchLead < n) {
-              family.prefetch(
-                  static_cast<std::uint32_t>(block[j + kPrefetchLead].key));
-            }
-          }
-          const auto key32 = static_cast<std::uint32_t>(block[j].key);
-          for (std::size_t g = 0; g < groups; ++g) {
-            gv[g * kUpdateBlock + j] = family.hash_group(g, key32);
-          }
-        }
         for (std::size_t i = 0; i < h; ++i) {
           double* const row = &table_[i * k_];
           const std::uint64_t* const rg = &gv[(i / 4) * kUpdateBlock];
@@ -245,17 +213,7 @@ class BasicKarySketch {
           }
         }
       } else {
-        thread_local std::vector<std::uint16_t> hv_storage;
-        if (hv_storage.size() < h * kUpdateBlock) {
-          hv_storage.resize(h * kUpdateBlock);
-        }
-        std::uint16_t* const hv = hv_storage.data();
-        for (std::size_t j = 0; j < n; ++j) assert_key_in_domain(block[j].key);
-        for (std::size_t i = 0; i < h; ++i) {
-          for (std::size_t j = 0; j < n; ++j) {
-            hv[i * kUpdateBlock + j] = family.hash16(i, block[j].key);
-          }
-        }
+        const std::uint16_t* const hv = hash_block_rows(n, key_at);
         for (std::size_t i = 0; i < h; ++i) {
           double* const row = &table_[i * k_];
           const std::uint16_t* const rhv = &hv[i * kUpdateBlock];
@@ -330,6 +288,70 @@ class BasicKarySketch {
       }
     }
     return median_inplace(std::span<double>(est.data(), h));
+  }
+
+  /// Batched ESTIMATE, ESTIMATE's read-side twin of update_batch (Table 1):
+  /// out[j] = estimate(keys[j]) for every j, bit for bit. Per block of
+  /// kUpdateBlock keys: one hash pass (the same prefetched hash_group pass
+  /// as update_batch), then one gather sweep per row that turns each key's
+  /// bucket into its per-row estimate with estimate()'s own expression, then
+  /// estimate()'s median_inplace per key over the rows in row order. The
+  /// sweep keeps one row's gathers together, with update_batch's register
+  /// prefetch on wide rows. Throws std::invalid_argument when
+  /// `out` and `keys` differ in length; grows thread-local scratch on first
+  /// use.
+  void estimate_batch(std::span<const std::uint64_t> keys,
+                      std::span<double> out) const {
+    if (out.size() != keys.size()) {
+      throw std::invalid_argument(
+          "estimate_batch: out must have one slot per key");
+    }
+    if (keys.empty()) return;
+    const std::size_t h = depth();
+    const std::uint64_t mask = k_ - 1;
+    const double per_bucket = sum() / static_cast<double>(k_);
+    const double denom = 1.0 - 1.0 / static_cast<double>(k_);
+    const bool prefetch_rows = prefetch_row_sweeps();
+    thread_local std::vector<double> ev_storage;  // row-major h x block
+    if (ev_storage.size() < h * kUpdateBlock) {
+      ev_storage.resize(h * kUpdateBlock);
+    }
+    double* const ev = ev_storage.data();
+    for (std::size_t base = 0; base < keys.size(); base += kUpdateBlock) {
+      const std::size_t n = std::min(kUpdateBlock, keys.size() - base);
+      const std::uint64_t* block = keys.data() + base;
+      const auto key_at = [block](std::size_t j) { return block[j]; };
+      // Bucket of key j in row i, from the block's hash pass.
+      const auto gather_rows = [&](auto bucket_of) {
+        for (std::size_t i = 0; i < h; ++i) {
+          const double* const row = &table_[i * k_];
+          double* const rev = &ev[i * kUpdateBlock];
+          for (std::size_t j = 0; j < n; ++j) {
+            if (prefetch_rows && j + kPrefetchLead < n) {
+              __builtin_prefetch(&row[bucket_of(i, j + kPrefetchLead)], 0);
+            }
+            rev[j] = (row[bucket_of(i, j)] - per_bucket) / denom;
+          }
+        }
+      };
+      if constexpr (kGroupHashing) {
+        const std::uint64_t* const gv = hash_block_groups(n, key_at);
+        gather_rows([gv, mask](std::size_t i, std::size_t j) {
+          const unsigned shift = static_cast<unsigned>((i % 4) * 16);
+          return (gv[(i / 4) * kUpdateBlock + j] >> shift) & mask;
+        });
+      } else {
+        const std::uint16_t* const hv = hash_block_rows(n, key_at);
+        gather_rows([hv, mask](std::size_t i, std::size_t j) {
+          return hv[i * kUpdateBlock + j] & mask;
+        });
+      }
+      std::array<double, kMaxRows> est;
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t i = 0; i < h; ++i) est[i] = ev[i * kUpdateBlock + j];
+        out[base + j] = median_inplace(std::span<double>(est.data(), h));
+      }
+    }
   }
 
   /// Per-row evidence behind estimate(key), for alarm provenance: fills
@@ -460,6 +482,71 @@ class BasicKarySketch {
   }
 
  private:
+  /// The family evaluates 4 rows per packed lookup (tabulation).
+  static constexpr bool kGroupHashing =
+      requires(const Family f, std::uint32_t k32) { f.hash_group(0, k32); };
+
+  /// Whether a row sweep of the batched operations software-prefetches its
+  /// registers kPrefetchLead keys ahead: only when the row is bigger than a
+  /// block covers, so nearly every access lands on a cold line and the
+  /// lookahead hides the fetch. For smaller K each line is revisited
+  /// ~(kUpdateBlock * 8 / K) times per block and the redundant prefetches
+  /// measurably slow the sweep (bench_kernel_throughput).
+  [[nodiscard]] bool prefetch_row_sweeps() const noexcept {
+    return k_ >= 8 * kUpdateBlock;
+  }
+
+  /// Hash pass of the batched operations (group-hashing families): for the
+  /// n <= kUpdateBlock keys key_at(0..n), stores group g's packed 4-lane
+  /// hash at [g * kUpdateBlock + j] of a thread-local scratch (kept off the
+  /// worker stacks: up to kUpdateBlock x 8 groups x 8 B) and returns it.
+  /// Hash-table lookups dominate this pass (the character tables are MBs,
+  /// far beyond L1), so the family's lines are prefetched kPrefetchLead
+  /// keys ahead to keep several misses in flight.
+  template <typename KeyAt>
+  [[nodiscard]] const std::uint64_t* hash_block_groups(std::size_t n,
+                                                       KeyAt key_at) const {
+    const std::size_t groups = (depth() + 3) / 4;
+    thread_local std::vector<std::uint64_t> gv_storage;
+    if (gv_storage.size() < groups * kUpdateBlock) {
+      gv_storage.resize(groups * kUpdateBlock);
+    }
+    std::uint64_t* const gv = gv_storage.data();
+    const Family& family = *family_;
+    for (std::size_t j = 0; j < n; ++j) {
+      assert_key_in_domain(key_at(j));
+      if (j + kPrefetchLead < n) {
+        family.prefetch(static_cast<std::uint32_t>(key_at(j + kPrefetchLead)));
+      }
+      const auto key32 = static_cast<std::uint32_t>(key_at(j));
+      for (std::size_t g = 0; g < groups; ++g) {
+        gv[g * kUpdateBlock + j] = family.hash_group(g, key32);
+      }
+    }
+    return gv;
+  }
+
+  /// Hash pass for per-row families (Carter-Wegman): row i's 16-bit hash of
+  /// key j at [i * kUpdateBlock + j] of a thread-local scratch.
+  template <typename KeyAt>
+  [[nodiscard]] const std::uint16_t* hash_block_rows(std::size_t n,
+                                                     KeyAt key_at) const {
+    const std::size_t h = depth();
+    thread_local std::vector<std::uint16_t> hv_storage;
+    if (hv_storage.size() < h * kUpdateBlock) {
+      hv_storage.resize(h * kUpdateBlock);
+    }
+    std::uint16_t* const hv = hv_storage.data();
+    const Family& family = *family_;
+    for (std::size_t j = 0; j < n; ++j) assert_key_in_domain(key_at(j));
+    for (std::size_t i = 0; i < h; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        hv[i * kUpdateBlock + j] = family.hash16(i, key_at(j));
+      }
+    }
+    return hv;
+  }
+
   /// Debug-mode guard for the key-domain constraint: the tabulation fast
   /// path truncates keys to 32 bits, so a 64-bit key kind bound to
   /// KarySketch (rather than KarySketch64) would collide distinct keys

@@ -247,6 +247,71 @@ TEST(Pipeline, IngestIntervalMatchesAddPath) {
   EXPECT_EQ(by_batches.stats().records, by_records.stats().records);
 }
 
+TEST(Pipeline, IngestIntervalDedupesRepeatedBatchKeys) {
+  // The aggregation tier concatenates overlapping node key lists, so a
+  // batch's keys may repeat. The engine replays each distinct key once:
+  // keys_checked counts distinct keys and no key alarms twice.
+  auto config = base_config();
+  config.threshold = 0.05;
+  ChangeDetectionPipeline repeated(config);
+  ChangeDetectionPipeline distinct(config);
+  const auto family = sketch::make_tabulation_family(config.seed, config.h);
+  for (std::size_t t = 0; t < 8; ++t) {
+    sketch::KarySketch external(family, config.k);
+    IntervalBatch batch;
+    for (std::uint64_t key = 0; key < 50; ++key) {
+      const double value =
+          100.0 + static_cast<double>(common::mix64(key + t) % 7);
+      external.update(key, value);
+      batch.keys.push_back(key);
+    }
+    if (t == 5) {
+      for (const std::uint64_t key : {999u, 998u}) {
+        external.update(key, 5000.0);
+        batch.keys.push_back(key);
+      }
+    }
+    batch.records = batch.keys.size();
+    batch.start_s = static_cast<double>(t) * config.interval_s;
+    batch.len_s = config.interval_s;
+    batch.registers.assign(external.registers().begin(),
+                           external.registers().end());
+    IntervalBatch twice = batch;
+    // Every key again, in reverse, then the spike keys a third time.
+    twice.keys.insert(twice.keys.end(), batch.keys.rbegin(),
+                      batch.keys.rend());
+    if (t == 5) twice.keys.insert(twice.keys.end(), {999u, 998u});
+    repeated.ingest_interval(std::move(twice));
+    distinct.ingest_interval(std::move(batch));
+  }
+  repeated.flush();
+  distinct.flush();
+  ASSERT_EQ(repeated.reports().size(), distinct.reports().size());
+  bool spike_found = false;
+  for (std::size_t i = 0; i < distinct.reports().size(); ++i) {
+    const auto& r = repeated.reports()[i];
+    const auto& d = distinct.reports()[i];
+    if (r.detection_ran) {
+      EXPECT_EQ(r.keys_checked, i == 5 ? 52u : 50u) << i;
+    }
+    EXPECT_EQ(r.keys_checked, d.keys_checked) << i;
+    ASSERT_EQ(r.alarms.size(), d.alarms.size()) << i;
+    std::vector<std::uint64_t> alarmed;
+    for (std::size_t a = 0; a < r.alarms.size(); ++a) {
+      EXPECT_EQ(r.alarms[a].key, d.alarms[a].key) << i;
+      EXPECT_EQ(r.alarms[a].error, d.alarms[a].error) << i;
+      alarmed.push_back(r.alarms[a].key);
+      if (r.alarms[a].key == 999) spike_found = true;
+    }
+    std::sort(alarmed.begin(), alarmed.end());
+    EXPECT_EQ(std::adjacent_find(alarmed.begin(), alarmed.end()),
+              alarmed.end())
+        << "duplicate alarm in interval " << i;
+  }
+  EXPECT_TRUE(spike_found);
+  EXPECT_EQ(repeated.stats().keys_replayed, distinct.stats().keys_replayed);
+}
+
 TEST(Pipeline, StagedUpdateBlocksMatchPerRecordSketch) {
   // add() applies records to the observed sketch in staged blocks; with
   // 9000 records per interval a block drains mid-interval and another is
